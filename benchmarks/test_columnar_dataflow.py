@@ -6,9 +6,9 @@ Pins the structural wins of the columnar refactor:
   streams them with zero per-call conversion — enforced as a hard >=2x
   end-to-end floor against the list-bucket hand-off the engine previously
   received (which re-converted every bucket on every call);
-- sharded (multi-SSD) Step 2 runs through the backend's
-  ``intersect_sharded`` kernels, benchmarked for both backends against the
-  single-SSD result it must reproduce bit for bit;
+- sharded (multi-SSD) Step 2 runs the per-shard kernel through the
+  backend's ``intersect_sharded_multi``, benchmarked for both backends
+  against the single-SSD result it must reproduce bit for bit;
 - KSS retrieval emits CSR owner columns and hit accumulation + containment
   run as ``np.unique``/array expressions — enforced as a hard >=3x
   retrieval+accumulate floor for the numpy engine over the register-level
@@ -31,8 +31,7 @@ from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.experiments.backend_scaling import synthetic_sketch
 from repro.megis.host import KmerBucketPartitioner
-from repro.megis.isp import IspStepTwo
-from repro.megis.multissd import MultiSsdStepTwo
+from repro.megis.multissd import LocalStepTwo, build_shards, whole_range
 from repro.tools.metalign import accumulate_hits, select_candidates
 from benchmarks.conftest import BENCH_K
 
@@ -198,14 +197,14 @@ def test_retrieval_accumulate_scaling(benchmark, backend):
 
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_sharded_step2(benchmark, bench_sorted_db, bench_kss, backend):
-    """Multi-SSD Step 2 through the backend's intersect_sharded kernel."""
-    query = bench_sorted_db.kmers[::3]
-    single = IspStepTwo(bench_sorted_db, bench_kss, n_channels=8,
-                        backend=backend).run(query)
-    engine = MultiSsdStepTwo(bench_sorted_db, bench_kss, n_ssds=4,
-                             channels_per_ssd=8, backend=backend)
+    """Multi-SSD Step 2: the shard kernel over four shards vs one."""
+    query = [whole_range(bench_sorted_db.kmers[::3], BENCH_K)]
+    [single] = LocalStepTwo(build_shards(bench_sorted_db, bench_kss, 1),
+                            backend=backend).run(query)
+    engine = LocalStepTwo(build_shards(bench_sorted_db, bench_kss, 4),
+                          channels=8, backend=backend)
 
-    result = benchmark(lambda: engine.run(query))
+    [result] = benchmark(lambda: engine.run(query))
     assert result[0] == single[0]
     assert result[1] == single[1]
 
@@ -290,10 +289,10 @@ def test_sharded_multi_sample_batched(benchmark, bench_sorted_db, bench_kss,
         [(b.lo, b.hi, b.kmers) for b in partitioner.partition(reads).buckets]
         for reads in (bench_sample.reads[:300], bench_sample.reads[300:])
     ]
-    single = IspStepTwo(bench_sorted_db, bench_kss,
-                        backend=backend).run_bucketed_multi(samples)
-    engine = MultiSsdStepTwo(bench_sorted_db, bench_kss, n_ssds=4,
-                             backend=backend)
+    single = LocalStepTwo(build_shards(bench_sorted_db, bench_kss, 1),
+                          backend=backend).run(samples)
+    engine = LocalStepTwo(build_shards(bench_sorted_db, bench_kss, 4),
+                          backend=backend)
 
-    results = benchmark(lambda: engine.run_multi(samples))
+    results = benchmark(lambda: engine.run(samples))
     assert results == single

@@ -15,7 +15,8 @@ from repro.backends import get_backend
 from repro.databases.sketch import TernarySearchTree
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
-from repro.megis.isp import IntersectUnit, IspStepTwo, TaxIdRetriever
+from repro.backends.python_backend import IntersectUnit, TaxIdRetriever
+from repro.megis.multissd import LocalStepTwo, build_shards
 from repro.sequences.kmers import extract_kmers
 from repro.ssd.channel import AccessPattern, ChannelSimulator
 from repro.ssd.config import ssd_c
@@ -113,10 +114,11 @@ def test_step2_multi_sample_batched(benchmark, bench_sorted_db, bench_kss,
         ]
         for reads in (bench_sample.reads[:300], bench_sample.reads[300:])
     ]
-    isp = IspStepTwo(bench_sorted_db, bench_kss, n_channels=8, backend=backend)
+    step_two = LocalStepTwo(build_shards(bench_sorted_db, bench_kss, 1),
+                            channels=8, backend=backend)
 
     def batched():
-        return isp.run_bucketed_multi(samples)
+        return step_two.run(samples)
 
     results = benchmark(batched)
     assert len(results) == 2 and all(r[0] for r in results)

@@ -37,10 +37,11 @@ import time
 import pytest
 
 from benchmarks.conftest import emit
+from repro.backends import PhaseTimings
 from repro.backends.paced import PacedStepTwoBackend
 from repro.megis import wire
 from repro.megis.index import MegisIndex
-from repro.megis.multissd import MultiSsdStepTwo
+from repro.megis.multissd import LocalStepTwo, build_shards, whole_range
 from repro.megis.service import AnalysisService
 from repro.megis.session import AnalysisSession, MegisConfig
 
@@ -605,19 +606,19 @@ def test_threaded_sharded_step2_overlaps_streams(bench_sorted_db, bench_kss):
     ``measured_overlap_saved_ms`` is that gap, the wall-clock realization
     of the §6.1 multi-SSD fan-out.
     """
-    query = bench_sorted_db.kmers[::3]
+    query = [whole_range(bench_sorted_db.kmers[::3], bench_sorted_db.k)]
     backend = PacedStepTwoBackend("numpy", mb_per_s=MB_PER_S)
-    serial = MultiSsdStepTwo(bench_sorted_db, bench_kss, n_ssds=4,
-                             backend=backend)
-    threaded = MultiSsdStepTwo(bench_sorted_db, bench_kss, n_ssds=4,
-                               backend=backend, executor="threads:4")
-    expected = serial.run(query)
+    shards = build_shards(bench_sorted_db, bench_kss, 4)
+    serial = LocalStepTwo(shards, backend=backend)
+    threaded = LocalStepTwo(shards, backend=backend, executor="threads:4")
+    serial_timings = PhaseTimings()
+    [expected] = serial.run(query, serial_timings)
     best_saved = 0.0
     for _ in range(3):
-        result = threaded.run(query)
+        t = PhaseTimings()
+        [result] = threaded.run(query, t)
         assert result[0] == expected[0]
         assert result[1] == expected[1]
-        t = threaded.timings
         best_saved = max(best_saved, t.measured_overlap_saved_ms)
-    assert serial.timings.measured_overlap_saved_ms < 1e-6
+    assert serial_timings.measured_overlap_saved_ms < 1e-6
     assert best_saved > 0.0, "threaded shards hid no paced stream time"

@@ -6,7 +6,7 @@ Two backends ship with the repository:
 - ``numpy`` — columnar vectorized kernels over ``np.ndarray`` columns.
 
 Both produce bit-identical results; select one per call site
-(``MegisConfig(backend="numpy")``, ``IspStepTwo(..., backend="numpy")``,
+(``MegisConfig(backend="numpy")``, ``LocalStepTwo(..., backend="numpy")``,
 ``repro analyze --backend numpy``) or process-wide via the
 ``REPRO_BACKEND`` environment variable / :func:`set_default_backend`.
 """

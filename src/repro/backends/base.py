@@ -378,37 +378,6 @@ class StepTwoBackend(abc.ABC):
 
     # -- sharded intersection (§6.1, multi-SSD) -------------------------------
 
-    def intersect_sharded(
-        self,
-        shards: Sequence[ShardSlice],
-        sorted_query: IntColumn,
-        n_channels: int = 8,
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[List[int]]:
-        """Range-split the query at shard boundaries; intersect per shard.
-
-        ``shards`` are ``(lo, hi, database)`` triples in ascending disjoint
-        range order (one per SSD).  The range split happens here in the
-        backend — each shard only ever sees the query slice that can match
-        its range, and because shards ascend, the concatenation of the
-        returned per-shard intersections is globally sorted.
-        """
-        timings = timings if timings is not None else PhaseTimings(backend=self.name)
-        check_shards(shards)
-        results: List[List[int]] = []
-        start = 0
-        for lo, hi, database in shards:
-            i = bisect_column(sorted_query, int(lo), lo=start)
-            j = bisect_column(sorted_query, int(hi), lo=i)
-            start = j
-            results.append(
-                self.intersect_bucketed(
-                    database, [(int(lo), int(hi), sorted_query[i:j])],
-                    n_channels, timings,
-                )
-            )
-        return results
-
     def intersect_sharded_multi(
         self,
         shards: Sequence[ShardSlice],

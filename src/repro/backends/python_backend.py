@@ -7,9 +7,9 @@ flash stream, and an Index Generator that detects prefix transitions while
 streaming the KSS tables.  Every faster backend must reproduce these
 results bit for bit.
 
-The classes are re-exported from :mod:`repro.megis.isp` for backwards
-compatibility — that module remains the documented home of the Step-2
-hardware model.
+This module is the home of the Step-2 hardware model; the engine reaches
+it through :func:`repro.megis.multissd.shard_step_two`, like every other
+backend.
 """
 
 from __future__ import annotations
@@ -253,6 +253,7 @@ class PythonStepTwoBackend(StepTwoBackend):
         edges = interval_edges(samples)
         with timings.phase("intersect"):
             for lo, hi in zip(edges, edges[1:]):
+                interval_start = time.perf_counter()
                 db_slice = list(database.stream_range(lo, hi))
                 # Charged once: the flash stream is shared by all samples.
                 timings.db_kmers_streamed += len(db_slice)
@@ -268,6 +269,9 @@ class PythonStepTwoBackend(StepTwoBackend):
                         matches = unit.intersect(stripe, query[i:j])
                         timings.add_channel_matches(unit.channel, len(matches))
                         results[s].extend(matches)
+                timings.record_bucket(
+                    lo, hi, (time.perf_counter() - interval_start) * 1e3
+                )
             timings.db_stream_passes += 1
             for partial in results:
                 partial.sort()

@@ -500,7 +500,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     import signal
 
     from repro.megis.cluster import (
-        ClusterAnalysisSession,
         ClusterMap,
         ClusterRouter,
         ClusterStepTwo,
@@ -524,10 +523,17 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 f"--replica names nodes {unknown} outside "
                 f"[0, {cluster_map.n_nodes})"
             )
+        step_two = ClusterStepTwo(
+            cluster_map,
+            [NodeEndpoint(node_id, endpoint, replica=replicas.get(node_id))
+             for node_id, endpoint in enumerate(endpoints_given)],
+            timeout_s=args.node_timeout_ms / 1e3,
+        )
         local = AnalysisSession(
             index,
             MegisConfig(abundance_method=args.abundance,
                         backend=args.backend),
+            step_two=step_two,
         )
         if args.abundance == "mapping" and local.references is None:
             print("index was built with --no-references; mapping-based "
@@ -537,14 +543,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         if args.write_map:
             saved = cluster_map.save(ClusterMap.sibling_path(args.index))
             print(f"wrote placement map to {saved}", file=sys.stderr)
-        step_two = ClusterStepTwo(
-            cluster_map,
-            [NodeEndpoint(node_id, endpoint, replica=replicas.get(node_id))
-             for node_id, endpoint in enumerate(endpoints_given)],
-            timeout_s=args.node_timeout_ms / 1e3,
-        )
         router = ClusterRouter(
-            ClusterAnalysisSession(local, step_two),
+            local,
             heartbeat_ms=args.heartbeat_ms,
             host=args.host,
             port=args.port,

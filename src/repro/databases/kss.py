@@ -433,8 +433,9 @@ class KssTables:
         flat taxID column per level with per-query offsets — the
         :class:`~repro.backends.retrieval.RetrievalResult` CSR layout; its
         ``Mapping`` view reproduces the historical per-query dicts.  The
-        hardware-flavoured implementation lives in :mod:`repro.megis.isp`;
-        tests require both to match :meth:`SketchDatabase.lookup` exactly.
+        hardware-flavoured implementation lives in
+        :mod:`repro.backends.python_backend`; tests require both to match
+        :meth:`SketchDatabase.lookup` exactly.
 
         Passing ``backend`` ("python", "numpy") delegates to that
         :class:`~repro.backends.StepTwoBackend`'s retrieval kernel instead

@@ -271,8 +271,9 @@ class SortedKmerDatabase:
 
         With ``backend=None`` this runs the pure-Python reference merge —
         the result every other implementation must reproduce exactly
-        (:mod:`repro.megis.isp`; tests assert the equivalence).  Passing a
-        backend name ("python", "numpy") delegates to that
+        (:mod:`repro.backends.python_backend`; tests assert the
+        equivalence).  Passing a backend name ("python", "numpy")
+        delegates to that
         :class:`~repro.backends.StepTwoBackend`'s intersection kernel.
         """
         if backend is not None:

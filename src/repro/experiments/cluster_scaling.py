@@ -29,7 +29,6 @@ import time
 from repro.backends.paced import PacedStepTwoBackend
 from repro.experiments.runner import ExperimentResult
 from repro.megis.cluster import (
-    ClusterAnalysisSession,
     ClusterMap,
     ClusterNode,
     ClusterRouter,
@@ -153,10 +152,10 @@ async def _run_cell(index, requests, n_nodes, *, replica_for=None,
                                       replica=replica_address))
     step_two = ClusterStepTwo(cluster_map, endpoints)
     local = AnalysisSession(
-        index, MegisConfig(abundance_method="statistical")
+        index, MegisConfig(abundance_method="statistical"), step_two=step_two
     )
     router = ClusterRouter(
-        ClusterAnalysisSession(local, step_two),
+        local,
         heartbeat_ms=None, workers=N_CLIENTS, max_batch=N_CLIENTS,
     )
     host, port = await router.start()

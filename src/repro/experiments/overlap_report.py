@@ -27,7 +27,8 @@ from repro.backends.paced import PacedStepTwoBackend
 from repro.databases.serialization import kmer_record_bytes
 from repro.experiments.runner import ExperimentResult
 from repro.megis.index import IndexBuilder
-from repro.megis.multissd import MultiSsdStepTwo
+from repro.backends import PhaseTimings
+from repro.megis.multissd import LocalStepTwo, whole_range
 from repro.workloads.cami import CamiDiversity, make_cami_sample
 
 N_READS = 160
@@ -49,7 +50,7 @@ def _build_world():
     return index
 
 
-def _shard_volumes(engine: MultiSsdStepTwo) -> list:
+def _shard_volumes(engine: LocalStepTwo) -> list:
     """Modeled per-shard stream bytes: database records + KSS range."""
     return [
         kmer_record_bytes(shard.database.k) * len(shard.database)
@@ -72,12 +73,12 @@ def run() -> ExperimentResult:
     index = _build_world()
     # Every third database k-mer: a dense sorted query column, the shape
     # Step 2 consumes after extraction.
-    query = index.database.kmers[::3]
+    query = whole_range(index.database.kmers[::3], index.k)
 
     reference = None
     for n_ssds in SSD_COUNTS:
-        engine = MultiSsdStepTwo(
-            database=index.database, kss=index.kss, n_ssds=n_ssds,
+        engine = LocalStepTwo(
+            index.shards(n_ssds),
             backend=PacedStepTwoBackend("numpy", mb_per_s=MB_PER_S),
             executor=f"threads:{n_ssds}",
         )
@@ -85,8 +86,9 @@ def run() -> ExperimentResult:
         total = sum(volumes)
         model_ratio = 1.0 - max(volumes) / total if n_ssds > 1 else 0.0
 
+        timings = PhaseTimings()
         for _ in range(TRIALS):
-            intersecting, retrieved = engine.run(query)
+            [(intersecting, retrieved)] = engine.run([query], timings)
             if reference is None:
                 reference = (list(intersecting), retrieved)
             else:
@@ -94,7 +96,6 @@ def run() -> ExperimentResult:
                     "sharded Step 2 must stay bit-identical"
                 assert retrieved == reference[1], \
                     "sharded retrieval must stay bit-identical"
-        timings = engine.timings
         busy = timings.intersect_ms + timings.retrieve_ms
         measured_ratio = (
             timings.measured_overlap_saved_ms / busy if busy > 0 else 0.0

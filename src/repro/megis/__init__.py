@@ -5,9 +5,11 @@ An efficient pipeline between the host and the SSD (paper §4):
 - Step 1 (:mod:`repro.megis.host`): the host extracts k-mers from the input
   reads, partitions them into lexicographic buckets, sorts, and applies
   frequency exclusion;
-- Step 2 (:mod:`repro.megis.isp`): in-storage Intersect units stream the
-  sorted database against the query buckets and retrieve taxIDs from the
-  KSS tables with the Index Generator;
+- Step 2 (:mod:`repro.megis.multissd`): in-storage Intersect units stream
+  the sorted database against the query buckets and retrieve taxIDs from
+  the KSS tables with the Index Generator — one per-shard kernel behind
+  local, process, and cluster placements (the register-level hardware
+  model is :mod:`repro.backends.python_backend`);
 - Step 3 (:mod:`repro.megis.abundance`): the SSD merges per-species
   reference indexes into a unified index for read mapping;
 - :mod:`repro.megis.ftl` — the specialized block-level FTL and data layout;
@@ -16,17 +18,18 @@ An efficient pipeline between the host and the SSD (paper §4):
 - :mod:`repro.megis.index` — the persistable build-once index
   (:class:`MegisIndex` / :class:`IndexBuilder`);
 - :mod:`repro.megis.session` — :class:`AnalysisSession`, the open-once /
-  query-many serving loop, including the multi-sample mode (§4.7);
+  query-many serving loop: the one pipeline, whose unit is a multi-sample
+  batch (§4.7);
 - :mod:`repro.megis.executors` — the pluggable execution policies
-  (serial reference / thread pool) the Step-2 engines dispatch through;
+  (serial reference / thread pool / process pool) Step 2 dispatches
+  shards through;
 - :mod:`repro.megis.service` — :class:`AnalysisService`, the concurrent
   futures-based serving front-end over one shared session;
 - :mod:`repro.megis.wire` — the versioned JSONL wire format shared by
   ``repro serve`` and ``repro gateway``;
 - :mod:`repro.megis.gateway` — :class:`AnalysisGateway`, the asyncio
   multi-client TCP front door with per-client rate limiting and
-  graceful drain;
-- :mod:`repro.megis.pipeline` — the deprecated per-call facade.
+  graceful drain.
 """
 
 from repro.backends import PhaseTimings, StepTwoBackend, available_backends, get_backend
@@ -43,9 +46,16 @@ from repro.megis.ftl import DatabaseLayout, MegisFtl
 from repro.megis.gateway import AnalysisGateway, GatewayStats, TokenBucket
 from repro.megis.host import Bucket, BucketSet, KmerBucketPartitioner
 from repro.megis.index import IndexBuilder, MegisIndex
-from repro.megis.isp import IntersectUnit, IspStepTwo, TaxIdRetriever
-from repro.megis.multissd import DatabaseShard, MultiSsdStepTwo, shard_kss, split_database
-from repro.megis.pipeline import MegisPipeline
+from repro.megis.multissd import (
+    DatabaseShard,
+    LocalStepTwo,
+    StepTwoPlacement,
+    build_shards,
+    gather,
+    shard_kss,
+    shard_step_two,
+    split_database,
+)
 from repro.megis.service import AnalysisService, ServiceStats
 from repro.megis.session import (
     AnalysisSession,
@@ -73,31 +83,31 @@ __all__ = [
     "Executor",
     "GatewayStats",
     "IndexBuilder",
-    "IntersectUnit",
-    "IspStepTwo",
     "KmerBucketPartitioner",
+    "LocalStepTwo",
     "MegisConfig",
     "MegisIndex",
     "MegisFtl",
     "MegisInit",
-    "MegisPipeline",
     "MegisResult",
     "MegisStep",
     "MegisWrite",
-    "MultiSsdStepTwo",
     "PhaseTimings",
     "ScheduledBucket",
     "SerialExecutor",
     "ServiceStats",
     "StepTwoBackend",
-    "TaxIdRetriever",
+    "StepTwoPlacement",
     "TokenBucket",
     "ThreadedExecutor",
     "accelerator_report",
     "available_backends",
     "available_executors",
+    "build_shards",
+    "gather",
     "get_backend",
     "get_executor",
     "shard_kss",
+    "shard_step_two",
     "split_database",
 ]

@@ -13,9 +13,10 @@ stretched over TCP:
   server over an :class:`~repro.megis.session.AnalysisSession` opened on
   its shard subset only, answering partial Step-2 scatter frames;
 - :mod:`~repro.megis.cluster.router` — :class:`ClusterRouter`, the
-  client-facing front door (the gateway's machinery, verbatim) whose
-  session scatters Step 2 to the nodes, gathers and concatenates the
-  partial owner columns, and runs Steps 1/3 locally — bit-identical to
+  client-facing front door (the gateway's machinery, verbatim) over an
+  ordinary session whose Step-2 placement, :class:`ClusterStepTwo`,
+  scatters to the nodes and gathers the partial owner columns, while
+  Steps 1/3 run locally — bit-identical to
   single-node serving, with heartbeat health tracking and
   retry-once-then-``node_failed`` failure semantics.
 """
@@ -23,7 +24,6 @@ stretched over TCP:
 from repro.megis.cluster.node import ClusterNode
 from repro.megis.cluster.placement import ClusterMap
 from repro.megis.cluster.router import (
-    ClusterAnalysisSession,
     ClusterRouter,
     ClusterStepTwo,
     NodeEndpoint,
@@ -32,7 +32,6 @@ from repro.megis.cluster.router import (
 )
 
 __all__ = [
-    "ClusterAnalysisSession",
     "ClusterMap",
     "ClusterNode",
     "ClusterRouter",

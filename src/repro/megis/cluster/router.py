@@ -3,17 +3,19 @@
 The router is the client-facing front door of the cluster tier.  It *is*
 the asyncio gateway — per-client writer/outbox fairness, token-bucket
 rate limiting, bounded admission, graceful drain, all inherited verbatim
-from :class:`~repro.megis.gateway.AnalysisGateway` — driving a
-:class:`ClusterAnalysisSession` instead of a local one:
+from :class:`~repro.megis.gateway.AnalysisGateway` — driving an ordinary
+:class:`~repro.megis.session.AnalysisSession` whose Step-2 placement is
+:class:`ClusterStepTwo`, the remote placement:
 
 - **Step 1 local.**  The router partitions each sample's reads into the
   sorted query column on its own host (it holds the same index file).
-- **Step 2 scattered.**  :class:`ClusterStepTwo` sends the column to
-  every node (each intersects/retrieves over its contiguous shard group
-  only), then concatenates the partial CSR owner columns in node order —
-  nodes own ascending shard groups, so the gather is exactly the
-  single-host :meth:`RetrievalResult.concatenate` merge and the final
-  result is bit-identical to single-node serving.
+- **Step 2 scattered.**  :class:`ClusterStepTwo` sends one frame per
+  batch to every node; each node runs the local placement over its
+  contiguous shard group, streaming every shard once for the whole batch
+  (§4.7).  The per-node partials are concatenated in node order with the
+  same :func:`~repro.megis.multissd.gather` the local placement uses —
+  nodes own ascending shard groups, so the final result is bit-identical
+  to single-node serving.
 - **Step 3 local.**  Hit accumulation, candidate selection, and
   abundance estimation run on the gathered columns.
 
@@ -38,14 +40,18 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.backends import PhaseTimings, RetrievalResult, get_backend
+from repro.backends import BucketSlice, PhaseTimings, RetrievalResult
+from repro.backends.retrieval import as_int_list
 from repro.megis import wire
 from repro.megis.cluster.placement import ClusterMap
 from repro.megis.gateway import AnalysisGateway
-from repro.megis.session import AnalysisSession, MegisResult
-from repro.sequences.reads import Read
+from repro.megis.multissd import gather
+from repro.megis.session import AnalysisSession
 
 Address = Tuple[str, int]
+
+#: One sample's Step-2 output (see :data:`repro.megis.multissd.StepTwoOutput`).
+StepTwoOutput = Tuple[List[int], RetrievalResult]
 
 
 class NodeFailed(RuntimeError):
@@ -100,7 +106,7 @@ class ClusterStats:
 
 
 class ClusterStepTwo:
-    """Blocking scatter-gather client over the cluster's node endpoints.
+    """The remote Step-2 placement: blocking scatter-gather over the nodes.
 
     Lives on the service worker threads (submissions already run off the
     event loop), so it uses plain sockets: per scatter it connects and
@@ -142,9 +148,32 @@ class ClusterStepTwo:
 
     # -- scatter-gather --------------------------------------------------------
 
+    def run(
+        self,
+        sample_buckets: Sequence[Sequence[BucketSlice]],
+        timings: Optional[PhaseTimings] = None,
+    ) -> List[StepTwoOutput]:
+        """The placement protocol: one scatter for the whole batch.
+
+        Each sample's buckets travel as their concatenated sorted column;
+        the wall time the router spends waiting on nodes lands in the
+        intersect phase.
+        """
+        queries = [
+            [kmer for _, _, kmers in buckets for kmer in as_int_list(kmers)]
+            for buckets in sample_buckets
+        ]
+        start = time.perf_counter()
+        gathered = self.scatter(queries)
+        wall_ms = (time.perf_counter() - start) * 1e3
+        if timings is not None:
+            timings.intersect_ms += wall_ms
+            timings.step2_wall_ms += wall_ms
+        return gathered
+
     def scatter(
         self, queries: Sequence[Sequence[int]]
-    ) -> List[Tuple[List[int], RetrievalResult]]:
+    ) -> List[StepTwoOutput]:
         """Step 2 for a batch: scatter to all nodes, gather in node order.
 
         Returns one ``(intersecting, RetrievalResult)`` per sample —
@@ -172,7 +201,7 @@ class ClusterStepTwo:
             except OSError as exc:
                 sends.append((address, None, exc))
 
-        per_node: List[List[Tuple[List[int], RetrievalResult]]] = []
+        per_node: List[List[StepTwoOutput]] = []
         for endpoint, (address, sock, send_error) in zip(self.endpoints,
                                                          sends):
             record: Optional[Dict[str, Any]] = None
@@ -190,16 +219,7 @@ class ClusterStepTwo:
                                      n_samples, last_error)
             self._mark_alive(endpoint.node_id)
             per_node.append(wire.parse_step2_result(record))
-
-        gathered: List[Tuple[List[int], RetrievalResult]] = []
-        for s in range(n_samples):
-            intersecting = [
-                kmer for partials in per_node for kmer in partials[s][0]
-            ]
-            retrieved = RetrievalResult.concatenate(
-                [partials[s][1] for partials in per_node]
-            )
-            gathered.append((intersecting, retrieved))
+        gathered: List[StepTwoOutput] = gather(per_node)
         return gathered
 
     def _retry(self, endpoint: NodeEndpoint, failed_address: Address,
@@ -334,16 +354,29 @@ class ClusterStepTwo:
 
     def _read_line(self, sock: socket.socket,
                    timeout: Optional[float] = None) -> Dict[str, Any]:
+        """One reply frame, bounded by the node's frame limit.
+
+        Only each new chunk is scanned for the newline, and a reply that
+        grows past :data:`~repro.megis.wire.MAX_LINE_BYTES` fails the
+        attempt instead of buffering without bound.
+        """
         if timeout is not None:
             sock.settimeout(timeout)
         buf = bytearray()
-        while b"\n" not in buf:
+        while True:
             chunk = sock.recv(65536)
             if not chunk:
                 raise ConnectionError("node closed the connection mid-reply")
-            buf.extend(chunk)
-        line = bytes(buf[: buf.find(b"\n")])
-        record = json.loads(line.decode("utf-8"))
+            newline = chunk.find(b"\n")
+            buf.extend(chunk if newline < 0 else chunk[:newline])
+            if len(buf) > wire.MAX_LINE_BYTES:
+                raise ValueError(
+                    f"node reply exceeds the {wire.MAX_LINE_BYTES}-byte "
+                    f"frame limit"
+                )
+            if newline >= 0:
+                break
+        record = json.loads(bytes(buf).decode("utf-8"))
         if not isinstance(record, dict):
             raise ValueError(f"expected an object frame, got {record!r}")
         return record
@@ -354,100 +387,6 @@ class ClusterStepTwo:
             sock.close()
         except OSError:
             pass
-
-
-class ClusterAnalysisSession:
-    """The router's session: Steps 1/3 local, Step 2 scattered.
-
-    Implements the session surface
-    :class:`~repro.megis.service.AnalysisService` drives (``warm`` /
-    ``analyze`` / ``analyze_batch`` / ``close``, ``ssd is None``), so
-    the whole gateway stack — workers, §4.7 batch coalescing, bounded
-    admission, completion streaming — serves the cluster unchanged.
-    ``session`` is a *full* local session over the same index (its
-    partitioner, sketch columns, and Step-3 caches are what run
-    locally); Step-2 engines on it are never exercised.
-    """
-
-    def __init__(self, session: AnalysisSession, step_two: ClusterStepTwo) -> None:
-        if session.shard_range is not None:
-            raise ValueError(
-                "the router needs a full local session (Steps 1/3 run "
-                "here); shard-range sessions belong on nodes"
-            )
-        if session._process_workers is not None:
-            raise ValueError(
-                "the router session cannot be process-backed: scatter "
-                "sockets must not cross a fork"
-            )
-        self.session = session
-        self.step_two = step_two
-        #: The service's session contract: no stateful functional SSD,
-        #: no forked worker pool.
-        self.ssd = None
-        self._process_workers = None
-
-    @property
-    def config(self) -> Any:
-        return self.session.config
-
-    @property
-    def references(self) -> Any:
-        return self.session.references
-
-    @property
-    def backend_name(self) -> str:
-        return get_backend(self.session._backend_spec).name
-
-    def warm(self) -> "ClusterAnalysisSession":
-        self.session.warm()
-        return self
-
-    def close(self) -> None:
-        self.session.close()
-
-    def analyze(self, reads: Sequence[Read],
-                with_abundance: bool = True) -> MegisResult:
-        return self.analyze_batch([reads], with_abundance)[0]
-
-    def analyze_batch(
-        self, samples: Sequence[Sequence[Read]], with_abundance: bool = True
-    ) -> List[MegisResult]:
-        """One scatter per batch: every node streams its shard group once
-        for all buffered samples (§4.7 across the cluster)."""
-        if not samples:
-            return []
-        local = self.session
-        backend = self.backend_name
-        results = [
-            MegisResult(timings=PhaseTimings(backend=backend))
-            for _ in samples
-        ]
-
-        # Step 1 (router-local), buffered for the whole batch.
-        bucket_sets: List[Any] = []
-        for reads, result in zip(samples, results):
-            with result.timings.phase("extract"):
-                bucket_sets.append(local._partition(reads, result))
-
-        # Step 2: one scatter for the batch; the wall time the router
-        # spends waiting on nodes lands in the intersect phase.
-        batch_timings = PhaseTimings(backend=backend,
-                                     samples_batched=len(samples))
-        queries = [buckets.merged_column() for buckets in bucket_sets]
-        with batch_timings.phase("intersect"):
-            step_two = self.step_two.scatter(queries)
-
-        # Step 3 (router-local) on the gathered columns.
-        for result, reads, (intersecting, retrieved) in zip(
-            results, samples, step_two
-        ):
-            result.timings.merge(batch_timings)
-            local._finish_step_two(result, intersecting, retrieved)
-            if with_abundance:
-                with result.timings.phase("abundance"):
-                    local._estimate_abundance(result, reads, retrieved)
-        return results
 
 
 class ClusterRouter(AnalysisGateway):
@@ -461,16 +400,19 @@ class ClusterRouter(AnalysisGateway):
     ``node_failed`` error frame on the owning client's connection.
     """
 
-    def __init__(self, session: ClusterAnalysisSession, *,
+    def __init__(self, session: AnalysisSession, *,
                  heartbeat_ms: Optional[float] = 1000.0,
                  **gateway_kwargs: Any) -> None:
+        step_two = session.step_two
+        if not isinstance(step_two, ClusterStepTwo):
+            raise ValueError(
+                "the router's session must scatter Step 2 to the nodes: "
+                "build it with step_two=ClusterStepTwo(...)"
+            )
         super().__init__(session, **gateway_kwargs)
+        self.cluster = step_two
         self.heartbeat_ms = heartbeat_ms
         self._heartbeat_task: Optional["asyncio.Task[None]"] = None
-
-    @property
-    def cluster(self) -> ClusterStepTwo:
-        return self.session.step_two
 
     @property
     def node_health(self) -> Dict[int, NodeHealth]:
@@ -502,7 +444,6 @@ class ClusterRouter(AnalysisGateway):
 
 
 __all__ = [
-    "ClusterAnalysisSession",
     "ClusterRouter",
     "ClusterStepTwo",
     "NodeEndpoint",

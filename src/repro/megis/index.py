@@ -53,7 +53,7 @@ from repro.databases.serialization import (
 )
 from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.multissd import DatabaseShard, shard_kss, split_database
+from repro.megis.multissd import DatabaseShard, build_shards, shard_kss
 from repro.sequences.generator import ReferenceCollection
 
 
@@ -100,17 +100,16 @@ class MegisIndex:
     def shards(self, n_ssds: int) -> List[DatabaseShard]:
         """Per-SSD shard handles (built once per shard count, cached).
 
-        The parent ndarray column is materialized first so every shard
-        shares it as a zero-copy view; each shard also carries its
-        prefix-aligned KSS range slice (§6.1 + range-sharded KSS).
+        See :func:`~repro.megis.multissd.build_shards`: one shard is the
+        index's own database and KSS; more shards are zero-copy column
+        views, each with its prefix-aligned KSS range slice (§6.1 +
+        range-sharded KSS).
         """
         if n_ssds < 1:
             raise ValueError(f"n_ssds must be >= 1, got {n_ssds}")
         shards = self._shard_cache.get(n_ssds)
         if shards is None:
-            self.database.column()
-            shards = split_database(self.database, n_ssds)
-            shard_kss(self.kss, shards)
+            shards = build_shards(self.database, self.kss, n_ssds)
             self._shard_cache[n_ssds] = shards
         return shards
 
@@ -208,15 +207,13 @@ class MegisIndex:
             )
         index = cls(database, sketch, references, kss=kss)
         index.mapped = mmap
-        if mmap:
-            # Shard handles keep their own memmap-backed owner columns
-            # rather than re-slicing the (lazily stitched) parent.
-            index._shard_cache[len(shard_dbs)] = _mapped_shards(
-                kss, manifest, shard_dbs
-            )
-        else:
-            index._shard_cache[len(shard_dbs)] = _rebased_shards(
-                database, kss, manifest, shard_dbs
+        # One persisted shard is the index itself (see :meth:`shards`).
+        # Otherwise memmap shard handles keep their own memmap-backed owner
+        # columns rather than re-slicing the (lazily stitched) parent.
+        if len(shard_dbs) > 1:
+            index._shard_cache[len(shard_dbs)] = (
+                _mapped_shards(kss, manifest, shard_dbs) if mmap
+                else _rebased_shards(database, kss, manifest, shard_dbs)
             )
         return index
 

@@ -1,33 +1,43 @@
-"""Functional multi-SSD partitioning (paper §6.1, Fig 15).
+"""Step 2 as one per-shard kernel behind pluggable placements (§4.3, §6.1).
 
 Because MegIS's database and queries are both sorted, the database can be
 *disjointly* split across SSDs by lexicographic range; each SSD runs Step 2
 independently on its shard and the host concatenates the (still sorted)
-per-shard results.  This module implements that split functionally so the
-Fig 15 scaling experiment has a correctness counterpart: the sharded
-pipeline must produce exactly the single-SSD result.
+per-shard results (§6.1, Fig 15).  A single SSD is the one-shard case of
+the same split.
 
-The range split itself lives in the Step-2 backend
-(:meth:`~repro.backends.StepTwoBackend.intersect_sharded`): the numpy
-engine splits the query column against every shard edge with one
-vectorized ``searchsorted``, and shard databases are positional column
-slices of the parent (sharing its ndarray cache as zero-copy views), so
-sharding adds no host-side per-element work.
+Every Step-2 placement runs the same two pieces:
 
-Each shard also carries its own KSS range
-(:meth:`~repro.databases.kss.KssTables.slice_range`, prefix-aligned), so an
+- :func:`shard_step_two` — the kernel for one shard: the backend's batched
+  ``intersect_sharded_multi`` stream over the shard's database range (each
+  shard is read once for the whole sample batch, §4.7), then KSS taxID
+  retrieval per sample against the shard's own prefix-aligned KSS range;
+- :func:`gather` — concatenation of per-shard outputs in ascending shard
+  order into exactly the single-SSD result.
+
+A placement decides *where* the kernel runs; all of them implement
+:class:`StepTwoPlacement`'s ``run(sample_buckets, timings)``:
+
+- :class:`LocalStepTwo` (here) maps shards on an
+  :class:`~repro.megis.executors.Executor` in this process;
+- :class:`~repro.megis.procpool.ProcessAnalysisRunner` runs shard groups
+  on pinned forked workers;
+- :class:`~repro.megis.cluster.router.ClusterStepTwo` scatters to remote
+  cluster nodes, each running :class:`LocalStepTwo` over its shard group.
+
+Shard handles are built once — by :func:`build_shards` here, or ahead of
+time by :class:`~repro.megis.index.MegisIndex` — and reused across every
+query.  Shard databases are positional column slices of the parent
+(sharing its ndarray cache as zero-copy views), and each shard carries its
+own KSS range (:meth:`~repro.databases.kss.KssTables.slice_range`), so an
 SSD's retrieval stream is bounded to its shard rather than a full KSS copy.
-Shard handles are built once — by :func:`split_database` /
-:func:`shard_kss` here, or ahead of time by
-:class:`~repro.megis.index.MegisIndex` — and reused across every query.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.backends import (
     BucketSlice,
@@ -39,6 +49,9 @@ from repro.backends import (
 from repro.databases.kss import KssTables
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.executors import ExecutorSpec, get_executor
+
+#: One sample's Step-2 output: its intersecting k-mers and their owners.
+StepTwoOutput = Tuple[List[int], RetrievalResult]
 
 
 @dataclass
@@ -100,63 +113,124 @@ def shard_kss(kss: KssTables, shards: Sequence[DatabaseShard]) -> None:
             shard.kss = kss.slice_range(shard.lo, shard.hi)
 
 
-class MultiSsdStepTwo:
-    """Step 2 fanned out over database shards, one SSD per shard.
 
-    The query range split runs inside the Step-2 backend
-    (:meth:`~repro.backends.StepTwoBackend.intersect_sharded`); each shard
-    runs KSS retrieval over its own intersections against its own KSS
-    range, and the host only concatenates the already-sorted per-shard
-    intersections and CSR owner columns.  ``self.timings`` accumulates
-    per-phase wall time and streaming counters across calls, exactly like
-    :class:`~repro.megis.isp.IspStepTwo`.
 
-    Shard handles are built once at construction — either split here from
-    ``(database, n_ssds)`` or passed in pre-built via ``shards`` (what
-    :class:`~repro.megis.index.MegisIndex.shards` supplies), so serving
-    many queries never re-splits anything.
+def build_shards(
+    database: SortedKmerDatabase, kss: KssTables, n_shards: int
+) -> List[DatabaseShard]:
+    """Shard handles with their KSS ranges attached.
 
-    ``executor`` selects the execution policy for the per-shard work
-    (:mod:`repro.megis.executors`): with a :class:`ThreadedExecutor`, the
-    shards' intersect + retrieve tasks run concurrently — each SSD is an
-    independent engine (§6.1), and every task owns its
-    :class:`~repro.backends.PhaseTimings`, so results stay bit-identical
-    to the serial dispatch while ``step2_wall_ms`` records the genuinely
+    One shard reuses ``database`` and ``kss`` themselves — a full-range
+    slice would only copy them.  More shards are equal-count column
+    slices of the parent, whose ndarray column is built first so every
+    shard shares it as a zero-copy view.
+    """
+    if n_shards == 1:
+        space = 1 << (2 * database.k)
+        return [DatabaseShard(index=0, lo=0, hi=space, database=database, kss=kss)]
+    database.column()
+    shards = split_database(database, n_shards)
+    shard_kss(kss, shards)
+    return shards
+
+
+def warm_shards(shards: Sequence[DatabaseShard], backend: StepTwoBackend) -> None:
+    """Materialize what the backend's kernels read from every shard.
+
+    Columnar backends stream the database and KSS ndarray columns; the
+    reference backend walks KSS row objects and the per-level
+    covered-owner caches, which an empty retrieval touches.
+    """
+    for shard in shards:
+        if backend.columnar:
+            shard.database.column()
+            shard.kss.columns()
+        else:
+            shard.kss.retrieve([])
+
+
+def whole_range(query: Sequence[int], k: int) -> List[BucketSlice]:
+    """One sorted query column as a single bucket spanning the key space."""
+    return [(0, 1 << (2 * k), query)]
+
+
+def shard_step_two(
+    shard: DatabaseShard,
+    sample_buckets: Sequence[Sequence[BucketSlice]],
+    backend: StepTwoBackend,
+    channels: int,
+    timings: PhaseTimings,
+) -> List[StepTwoOutput]:
+    """Step 2 on one shard for a whole batch: stream once, retrieve per sample.
+
+    The backend clips every sample's buckets to the shard's ``[lo, hi)``
+    range and streams the shard's database slice once for all of them;
+    retrieval then runs per sample against the shard's KSS range.
+    """
+    per_sample = backend.intersect_sharded_multi(
+        [(shard.lo, shard.hi, shard.database)], sample_buckets, channels, timings
+    )
+    return [
+        (partial, backend.retrieve(shard.kss, partial, timings))
+        for partial in per_sample
+    ]
+
+
+def gather(per_shard: Sequence[Sequence[StepTwoOutput]]) -> List[StepTwoOutput]:
+    """Concatenate per-shard outputs, given in ascending shard order.
+
+    Shards cover ascending disjoint ranges, so each sample's intersecting
+    k-mers and CSR owner columns concatenate into exactly the single-SSD
+    result with no per-element host work.
+    """
+    n_samples = len(per_shard[0]) if per_shard else 0
+    return [
+        (
+            [kmer for outputs in per_shard for kmer in outputs[s][0]],
+            RetrievalResult.concatenate([outputs[s][1] for outputs in per_shard]),
+        )
+        for s in range(n_samples)
+    ]
+
+
+class StepTwoPlacement(Protocol):
+    """Where Step 2 runs: one ``(intersecting, RetrievalResult)`` per sample."""
+
+    def run(
+        self,
+        sample_buckets: Sequence[Sequence[BucketSlice]],
+        timings: Optional[PhaseTimings] = None,
+    ) -> List[StepTwoOutput]:
+        ...
+
+
+class LocalStepTwo:
+    """The local placement: shards mapped on an executor in this process.
+
+    Each shard is an independent SSD engine (§6.1).  With a
+    :class:`~repro.megis.executors.ThreadedExecutor` the shards' kernels run
+    concurrently; every task owns its :class:`~repro.backends.PhaseTimings`,
+    merged in shard order afterwards, so results and counter totals are
+    identical to the serial dispatch while ``step2_wall_ms`` records the
     overlapped wall-clock window.
     """
 
-    def __init__(self, database: Optional[SortedKmerDatabase] = None,
-                 kss: Optional[KssTables] = None,
-                 n_ssds: Optional[int] = None, channels_per_ssd: int = 8,
-                 backend: Union[str, StepTwoBackend, None] = None,
-                 shards: Optional[Sequence[DatabaseShard]] = None,
-                 executor: ExecutorSpec = None):
+    def __init__(
+        self,
+        shards: Sequence[DatabaseShard],
+        *,
+        backend: Union[str, StepTwoBackend, None] = None,
+        channels: int = 8,
+        executor: ExecutorSpec = None,
+    ):
+        if not shards:
+            raise ValueError("shards must be non-empty")
+        if any(shard.kss is None for shard in shards):
+            raise ValueError("every shard needs its KSS range (see build_shards)")
+        self.shards = list(shards)
+        self.channels = channels
         self._backend = get_backend(backend)
         self._executor = get_executor(executor)
-        if kss is None:
-            raise ValueError("MultiSsdStepTwo requires the KSS tables")
-        if shards is None:
-            if database is None or n_ssds is None:
-                raise ValueError(
-                    "provide either pre-built shards or (database, n_ssds)"
-                )
-            if self._backend.columnar:
-                # Build the parent column first so every shard shares it as
-                # a zero-copy view instead of materializing its own.
-                database.column()
-            shards = split_database(database, n_ssds)
-        elif not shards:
-            raise ValueError("shards must be non-empty")
-        self.shards = list(shards)
-        shard_kss(kss, self.shards)
-        self.kss = kss
-        self.backend = backend
-        self.channels_per_ssd = channels_per_ssd
-        self.timings = PhaseTimings(backend=self._backend.name)
-        #: Engines are shared read-only by serving threads; only the
-        #: accumulated lifetime timings are mutable state, so they get
-        #: their own lock.
-        self._timings_lock = threading.Lock()
 
     @property
     def backend_name(self) -> str:
@@ -172,100 +246,21 @@ class MultiSsdStepTwo:
 
     def run(
         self,
-        sorted_query: Sequence[int],
+        sample_buckets: Sequence[Sequence[BucketSlice]],
         timings: Optional[PhaseTimings] = None,
-    ) -> Tuple[List[int], RetrievalResult]:
-        """Intersect and retrieve per shard, concatenate owner columns.
-
-        Each shard only sees the query slice that can match its range —
-        the same range-pruning the bucket scheme exploits (§4.2.1) — and
-        runs KSS retrieval over its own intersections against its own KSS
-        range slice.  Because shards cover ascending disjoint ranges, the
-        per-shard CSR owner columns concatenate
-        (:meth:`RetrievalResult.concatenate`) into exactly the single-SSD
-        retrieval result; no per-element host work.
-
-        The per-shard tasks are dispatched through the configured executor
-        — one independent SSD engine per shard — and merged in shard
-        order, so the result (and the counter totals) are identical
-        however the tasks interleave.
-        """
-        t = PhaseTimings(backend=self._backend.name)
+    ) -> List[StepTwoOutput]:
+        """Batched Step 2 over every shard; one output per sample."""
+        samples = [list(buckets) for buckets in sample_buckets]
 
         def shard_task(shard: DatabaseShard):
             st = PhaseTimings(backend=self._backend.name)
-            [partial] = self._backend.intersect_sharded(
-                [(shard.lo, shard.hi, shard.database)], sorted_query,
-                self.channels_per_ssd, st,
-            )
-            retrieved = self._backend.retrieve(shard.kss, partial, st)
-            return partial, retrieved, st
+            return shard_step_two(shard, samples, self._backend, self.channels, st), st
 
         start = time.perf_counter()
         outcomes = self._executor.map_ordered(shard_task, self.shards)
-        t.step2_wall_ms += (time.perf_counter() - start) * 1e3
-        for _, _, st in outcomes:
-            t.merge(st)
-        # Shards are contiguous ranges in ascending order, so the
-        # concatenation is already sorted.
-        intersecting = [kmer for partial, _, _ in outcomes for kmer in partial]
-        retrieved = RetrievalResult.concatenate(
-            [retrieved for _, retrieved, _ in outcomes]
-        )
-        self._record(t, timings)
-        return intersecting, retrieved
-
-    def run_multi(
-        self,
-        samples: Sequence[Sequence[BucketSlice]],
-        timings: Optional[PhaseTimings] = None,
-    ) -> List[Tuple[List[int], RetrievalResult]]:
-        """Batched multi-sample Step 2 across shards (§4.7 x §6.1).
-
-        Each shard streams its database slice once for the whole batch;
-        per-sample results are identical to a single-SSD
-        :meth:`~repro.megis.isp.IspStepTwo.run_bucketed_multi`.  Retrieval
-        runs per (sample, shard) slice against the shard's KSS range and
-        each sample's owner columns are the concatenation over shards,
-        mirroring :meth:`run` — including the executor dispatch: each
-        shard's whole-batch stream plus retrievals is one task.
-        """
-        t = PhaseTimings(
-            backend=self._backend.name, samples_batched=max(1, len(samples))
-        )
-        sample_buckets = [list(buckets) for buckets in samples]
-
-        def shard_task(shard: DatabaseShard):
-            st = PhaseTimings(backend=self._backend.name)
-            per_sample = self._backend.intersect_sharded_multi(
-                [(shard.lo, shard.hi, shard.database)], sample_buckets,
-                self.channels_per_ssd, st,
-            )
-            retrievals = [
-                self._backend.retrieve(shard.kss, partial, st)
-                for partial in per_sample
-            ]
-            return per_sample, retrievals, st
-
-        start = time.perf_counter()
-        outcomes = self._executor.map_ordered(shard_task, self.shards)
-        t.step2_wall_ms += (time.perf_counter() - start) * 1e3
-        for _, _, st in outcomes:
-            t.merge(st)
-        results = []
-        for s in range(len(sample_buckets)):
-            intersecting = [
-                kmer for per_sample, _, _ in outcomes for kmer in per_sample[s]
-            ]
-            retrieved = RetrievalResult.concatenate(
-                [retrievals[s] for _, retrievals, _ in outcomes]
-            )
-            results.append((intersecting, retrieved))
-        self._record(t, timings)
-        return results
-
-    def _record(self, t: PhaseTimings, timings: Optional[PhaseTimings]) -> None:
-        with self._timings_lock:
-            self.timings.merge(t)
+        wall_ms = (time.perf_counter() - start) * 1e3
         if timings is not None:
-            timings.merge(t)
+            timings.step2_wall_ms += wall_ms
+            for _, st in outcomes:
+                timings.merge(st)
+        return gather([outputs for outputs, _ in outcomes])

@@ -3,32 +3,33 @@
 The GIL caps what :class:`~repro.megis.service.AnalysisService` can get
 out of threads: Step 1 (k-mer extraction) and mapping-based Step 3 are
 pure-Python loops, so thread workers serialize exactly where the paper's
-pipeline is busiest.  :class:`ProcessAnalysisRunner` moves those phases —
-and the sharded Step-2 kernels — into a :class:`ProcessExecutor` pool
-forked *after* the session is warmed (and, for ``open(mmap=True)``
-indexes, after the CSR sections are memmapped), so every worker shares
-the parent's engine state copy-on-write: zero per-worker index
-duplication, verifiable through :meth:`probe_workers` against the
-database's column-build counters.
+pipeline is busiest.  :class:`ProcessAnalysisRunner` moves those stages —
+and the Step-2 shard kernels — into a :class:`ProcessExecutor` pool forked
+*after* the session is warmed (and, for ``open(mmap=True)`` indexes, after
+the CSR sections are memmapped), so every worker shares the parent's
+engine state copy-on-write: zero per-worker index duplication, verifiable
+through :meth:`probe_workers` against the database's column-build
+counters.
 
-Data parallelism is shard-per-process (§6.1 mapped onto processes):
-the sorted database is cut into ``max(n_ssds, workers)`` contiguous
-lexicographic ranges and each worker *owns* a contiguous group of
-shards for the session's lifetime (tasks are pinned with
-``ProcessExecutor.submit_to``).  A batch runs in three fan-outs —
+The runner is the process placement of the one pipeline,
+:meth:`~repro.megis.session.AnalysisSession.analyze_batch`, in two roles:
 
-1. Step 1 per sample on any worker (extraction parallelizes freely);
-2. Step 2 per worker-group: each worker streams its own shard group
-   once for the whole batch, mirroring
-   :meth:`~repro.megis.multissd.MultiSsdStepTwo.run_multi`'s kernels;
-3. Step 3 per sample on any worker (mapping/EM over the merged
-   retrieval).
+- *stage executor* — :meth:`map_stage` runs the session's per-sample
+  Step-1 and Step-3 stages on any worker (the same methods the inline
+  tiers call);
+- *Step-2 placement* — :meth:`run` is shard-per-process (§6.1 mapped onto
+  processes): the sorted database is cut into ``max(n_ssds, workers)``
+  contiguous lexicographic ranges, each worker *owns* a contiguous group
+  of shards for the session's lifetime (tasks are pinned with
+  ``ProcessExecutor.submit_to``) and runs
+  :func:`~repro.megis.multissd.shard_step_two` on each, streaming its
+  shard group once per batch.  The parent concatenates the per-shard
+  outputs in ascending range order with
+  :func:`~repro.megis.multissd.gather`, so the output is bit-identical to
+  the serial engines (the golden-fixture tests pin this).
 
-— and the parent merges per-shard results in ascending range order with
-:meth:`~repro.backends.retrieval.RetrievalResult.concatenate`, so the
-output is bit-identical to the serial engines (the golden-fixture tests
-pin this).  Task functions are module-level (they cross the worker pipe
-by reference) and reach the forked state through
+Task functions are module-level (they cross the worker pipe by reference)
+and reach the forked state through
 :func:`~repro.megis.executors.worker_state`.
 
 Crash semantics come from the pool: a worker that dies mid-task is
@@ -46,73 +47,42 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.backends import PhaseTimings, get_backend
-from repro.backends.retrieval import RetrievalResult
+from repro.backends import BucketSlice, PhaseTimings
 from repro.megis.executors import ProcessExecutor, worker_state
-from repro.megis.multissd import DatabaseShard
-from repro.sequences.reads import Read
+from repro.megis.multissd import (
+    DatabaseShard,
+    StepTwoOutput,
+    gather,
+    shard_step_two,
+    warm_shards,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.megis.session import AnalysisSession, MegisResult
+    from repro.megis.session import AnalysisSession
 
 
 # -- module-level task functions (pickled by reference across the pipe) -------
 
-def _task_step1(reads: Sequence[Read]) -> Tuple[Any, float]:
-    """Step 1 for one sample inside a worker: partition + wall time."""
-    runner = worker_state()
-    start = time.perf_counter()
-    buckets = runner.session._partitioner.partition(reads)
-    return buckets, (time.perf_counter() - start) * 1e3
+def _task_stage(stage: str, args: Tuple[Any, ...]) -> Any:
+    """One per-sample session stage (``_step_one`` / ``_step_three``)."""
+    return getattr(worker_state().session, stage)(*args)
 
 
 def _task_step2(
     shard_indexes: Sequence[int],
-    sample_buckets: List[List[Tuple[Optional[int], Optional[int], Any]]],
-) -> Tuple[List[Tuple[List[List[int]], List[RetrievalResult]]], PhaseTimings]:
-    """Step 2 over this worker's shard group, batched across samples.
-
-    Mirrors :meth:`MultiSsdStepTwo.run_multi`'s per-shard kernel calls
-    exactly — one ``intersect_sharded_multi`` stream per shard for the
-    whole batch, then per-sample retrieval against the shard's KSS range
-    — so the merged result is bit-identical to the serial fan-out.
-    """
+    sample_buckets: List[List[BucketSlice]],
+) -> Tuple[List[List[StepTwoOutput]], PhaseTimings]:
+    """Step 2 over this worker's shard group, batched across samples."""
     runner = worker_state()
-    backend = runner.backend
-    st = PhaseTimings(backend=backend.name)
-    out = []
-    for index in shard_indexes:
-        shard: DatabaseShard = runner.shards[index]
-        per_sample = backend.intersect_sharded_multi(
-            [(shard.lo, shard.hi, shard.database)], sample_buckets,
+    st = PhaseTimings(backend=runner.backend.name)
+    outputs = [
+        shard_step_two(
+            runner.shards[index], sample_buckets, runner.backend,
             runner.channels, st,
         )
-        retrievals = [
-            backend.retrieve(shard.kss, partial, st) for partial in per_sample
-        ]
-        out.append((per_sample, retrievals))
-    return out, st
-
-
-def _task_step3(
-    reads: Sequence[Read], retrieved: RetrievalResult, with_abundance: bool
-) -> Tuple[Dict, set, Any, Any, float]:
-    """Step 3 for one sample inside a worker: hits, candidates, profile."""
-    from repro.megis.session import MegisResult
-
-    runner = worker_state()
-    session = runner.session
-    result = MegisResult()
-    session._finish_step_two(result, [], retrieved)
-    abundance_ms = 0.0
-    if with_abundance:
-        start = time.perf_counter()
-        session._estimate_abundance(result, reads, retrieved)
-        abundance_ms = (time.perf_counter() - start) * 1e3
-    return (
-        result.sketch_hits, result.candidates, result.profile,
-        result.merge_stats, abundance_ms,
-    )
+        for index in shard_indexes
+    ]
+    return outputs, st
 
 
 def _task_probe() -> Dict[str, int]:
@@ -148,13 +118,13 @@ class ProcessAnalysisRunner:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.session = session
         self.workers = workers
-        self.backend = get_backend(session._backend_spec)
+        self.backend = session.backend
         self.channels = session._n_channels
         #: At least one shard per worker; honoring a larger configured
         #: SSD count keeps the modeled fan-out width.
         shard_count = max(session.config.n_ssds, workers)
         self.shards: List[DatabaseShard] = list(session.index.shards(shard_count))
-        self._warm_shards()
+        warm_shards(self.shards, self.backend)  # pre-fork: COW prerequisite
         #: Contiguous shard groups: worker *w* owns ``groups[w]``.  The
         #: groups partition ``range(shard_count)`` in ascending order, so
         #: iterating workers then shards yields ascending ranges — the
@@ -167,16 +137,6 @@ class ProcessAnalysisRunner:
         ]
         self.pool = ProcessExecutor(workers, state=self)
         self.pool.start()  # <- the fork
-
-    def _warm_shards(self) -> None:
-        """Materialize every shard's columns pre-fork (COW prerequisite)."""
-        if self.backend.columnar:
-            for shard in self.shards:
-                shard.database.column()
-                shard.kss.columns()
-        else:
-            for shard in self.shards:
-                shard.kss.retrieve([])
 
     def after_fork(self) -> None:
         """Child-side repair, run first thing inside every forked worker.
@@ -194,92 +154,38 @@ class ProcessAnalysisRunner:
 
     # -- serving ---------------------------------------------------------------
 
-    def analyze(self, reads: Sequence[Read],
-                with_abundance: bool = True) -> "MegisResult":
-        return self.analyze_batch([reads], with_abundance)[0]
-
-    def analyze_batch(
-        self, samples: Sequence[Sequence[Read]], with_abundance: bool = True
-    ) -> List["MegisResult"]:
-        """The three fan-outs; semantics match ``AnalysisSession.analyze_batch``.
+    def map_stage(
+        self, stage: str, calls: Sequence[Tuple[Any, ...]]
+    ) -> List[Any]:
+        """Run a per-sample session stage once per call, on any worker.
 
         Thread-safe — :class:`AnalysisService` workers call this
         concurrently and the pool interleaves their tasks; each batch's
         results are assembled from its own futures only.
         """
-        from repro.megis.session import MegisResult
+        futures = [self.pool.submit(_task_stage, stage, args) for args in calls]
+        return [future.result() for future in futures]
 
-        if not samples:
-            return []
-        session = self.session
-        pool = self.pool
-        backend_name = self.backend.name
-
-        # Fan-out 1 — Step 1 per sample, any worker.
-        step1 = [pool.submit(_task_step1, list(reads)) for reads in samples]
-        partitioned = [future.result() for future in step1]
-        bucket_sets = [buckets for buckets, _ in partitioned]
-        sample_buckets = [
-            [(b.lo, b.hi, b.kmers) for b in buckets.buckets]
-            for buckets in bucket_sets
-        ]
-
-        # Fan-out 2 — Step 2 per worker-group, pinned to the shard owner;
-        # each worker streams its shard group once for the whole batch.
-        batch_timings = PhaseTimings(
-            backend=backend_name, samples_batched=len(samples)
-        )
+    def run(
+        self,
+        sample_buckets: Sequence[Sequence[BucketSlice]],
+        timings: Optional[PhaseTimings] = None,
+    ) -> List[StepTwoOutput]:
+        """Step 2 per worker group, pinned to the shard owner; each worker
+        streams its shard group once for the whole batch."""
+        samples = [list(buckets) for buckets in sample_buckets]
         start = time.perf_counter()
-        step2 = [
-            pool.submit_to(worker, _task_step2, group, sample_buckets)
+        futures = [
+            self.pool.submit_to(worker, _task_step2, group, samples)
             for worker, group in enumerate(self.groups) if group
         ]
-        outcomes = [future.result() for future in step2]
-        batch_timings.step2_wall_ms += (time.perf_counter() - start) * 1e3
-        per_shard: List[Tuple[List[List[int]], List[RetrievalResult]]] = []
-        for shard_results, st in outcomes:
-            batch_timings.merge(st)
-            per_shard.extend(shard_results)
-        merged: List[Tuple[List[int], RetrievalResult]] = []
-        for s in range(len(samples)):
-            intersecting = [
-                kmer for per_sample, _ in per_shard for kmer in per_sample[s]
-            ]
-            retrieved = RetrievalResult.concatenate(
-                [retrievals[s] for _, retrievals in per_shard]
-            )
-            merged.append((intersecting, retrieved))
-
-        # Fan-out 3 — Step 3 per sample, any worker.
-        step3 = [
-            pool.submit(_task_step3, list(reads), retrieved, with_abundance)
-            for reads, (_, retrieved) in zip(samples, merged)
-        ]
-
-        total_query = sum(buckets.total_kmers() for buckets in bucket_sets)
-        results: List[MegisResult] = []
-        for (_reads, buckets, (_, extract_ms), (intersecting, _retrieved),
-             future) in zip(samples, bucket_sets, partitioned, merged, step3):
-            hits, candidates, profile, merge_stats, abundance_ms = future.result()
-            result = MegisResult(timings=PhaseTimings(backend=backend_name))
-            result.timings.extract_ms += extract_ms
-            result.timings.merge(batch_timings)
-            result.intersecting_kmers = intersecting
-            result.sketch_hits = hits
-            result.candidates = candidates
-            result.profile = profile
-            result.merge_stats = merge_stats
-            result.n_buckets = len(buckets)
-            result.spilled_bytes = buckets.spilled_bytes
-            result.query_kmers = buckets.total_kmers()
-            result.transfer_batches = session._count_batches(
-                buckets, session._partitioner.kmer_bytes
-            )
-            share = buckets.total_kmers() / total_query if total_query else 0.0
-            session._model_overlap(result.timings, buckets, intersect_share=share)
-            result.timings.abundance_ms += abundance_ms
-            results.append(result)
-        return results
+        outcomes = [future.result() for future in futures]
+        wall_ms = (time.perf_counter() - start) * 1e3
+        if timings is not None:
+            timings.step2_wall_ms += wall_ms
+            for _, st in outcomes:
+                timings.merge(st)
+        return gather([outputs for group, _ in outcomes for outputs in group])
 
     # -- introspection / lifecycle ---------------------------------------------
 

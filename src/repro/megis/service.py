@@ -550,14 +550,7 @@ class AnalysisService:
         samples = [request.reads for request in batch]
         started = time.perf_counter()
         try:
-            if len(samples) == 1:
-                results = [
-                    self.session.analyze(samples[0], self.with_abundance)
-                ]
-            else:
-                results = self.session.analyze_batch(
-                    samples, self.with_abundance
-                )
+            results = self.session.analyze_batch(samples, self.with_abundance)
             for request, result in zip(batch, results):
                 request.future.set_result(result)
         except BaseException as exc:

@@ -3,35 +3,40 @@
 The paper's system is an SSD-resident database serving a *stream* of
 samples: the databases are built (or loaded) once and every sample's
 analysis reuses them.  :class:`AnalysisSession` is that serving loop — it
-wraps a :class:`~repro.megis.index.MegisIndex`, constructs the Step-2
-engines (single-SSD ISP or the sharded multi-SSD fan-out) exactly once,
-and exposes :meth:`analyze` / :meth:`analyze_batch`.  Nothing is re-derived
-between calls: the k-mer and owner columns, the KSS CSR blocks, the shard
-handles, the bucket partitioner, and — new here — the Step-3 per-species
-indexes and merged unified indexes, which are cached so consecutive
-samples with overlapping candidate sets skip the merge input construction
-entirely (§4.4 batched across a stream, closing the batched-Step-3
-ROADMAP item).
+wraps a :class:`~repro.megis.index.MegisIndex`, constructs its Step-2
+placement exactly once, and exposes :meth:`analyze` /
+:meth:`analyze_batch`.  Nothing is re-derived between calls: the k-mer and
+owner columns, the KSS CSR blocks, the shard handles, the bucket
+partitioner, and the Step-3 per-species indexes and merged unified
+indexes, which are cached so consecutive samples with overlapping
+candidate sets skip the merge input construction entirely (§4.4 batched
+across a stream).
 
-Orchestration per sample: MegIS_Init -> Step 1 on the host
-(extract/bucket/sort/exclude) -> Step 2 in the SSD (per-channel
-intersection + KSS taxID retrieval) -> Step 3 (unified-index generation +
-read mapping, or the lightweight statistical estimator).  Functionally the
-session computes exactly what the accuracy-optimized software pipeline
-(Metalign) computes — same intersecting k-mers, same sketch semantics,
-same mapper — and :meth:`analyze_metalign` runs that baseline over the
-same index (sharing the Step-3 caches), which is how the equivalence tests
-pin the paper's identical-accuracy claim.
+There is one pipeline, :meth:`AnalysisSession.analyze_batch`, in three
+explicit stages: MegIS_Init -> Step 1 on the host per sample
+(extract/bucket/sort/exclude) -> Step 2 in storage for the whole batch
+(per-channel intersection + KSS taxID retrieval) -> Step 3 per sample
+(unified-index generation + read mapping, or the lightweight statistical
+estimator).  :meth:`~AnalysisSession.analyze` is a batch of one.
 
-Multi-sample mode (§4.7) batches Step 2 across samples: each database
-bucket slice is streamed from flash once and intersected against every
-buffered sample's query bucket before advancing, so the dominant flash
-traffic is amortized over the batch while each sample's result stays
-identical to an independent analysis.
+Step 2 is one per-shard kernel
+(:func:`~repro.megis.multissd.shard_step_two`) behind a placement that
+decides where it runs: local shards on an executor
+(:class:`~repro.megis.multissd.LocalStepTwo`, one shard being the
+single-SSD case), pinned forked workers
+(:class:`~repro.megis.procpool.ProcessAnalysisRunner`, which also runs
+Steps 1 and 3 outside the GIL), or remote cluster nodes
+(:class:`~repro.megis.cluster.router.ClusterStepTwo`).  Multi-sample mode
+(§4.7) falls out of the kernel: each database interval is streamed from
+flash once and intersected against every buffered sample's query bucket
+before advancing, while each sample's result stays identical to an
+independent analysis.
 
-:class:`MegisPipeline` (:mod:`repro.megis.pipeline`) remains as a thin
-deprecated wrapper that builds a single-use index and session per
-construction.
+Functionally the session computes exactly what the accuracy-optimized
+software pipeline (Metalign) computes — same intersecting k-mers, same
+sketch semantics, same mapper — and :meth:`analyze_metalign` runs that
+baseline over the same index (sharing the Step-3 caches), which is how the
+equivalence tests pin the paper's identical-accuracy claim.
 """
 
 from __future__ import annotations
@@ -40,20 +45,36 @@ import heapq
 import itertools
 import os
 import threading
+import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.backends import PhaseTimings, StepTwoBackend, available_backends
+from repro.backends import PhaseTimings, StepTwoBackend, available_backends, get_backend
 from repro.databases.sketch import TernarySearchTree
 from repro.megis.abundance import IndexMergeStats, merge_species_indexes
 from repro.megis.commands import CommandProcessor, HostStep, MegisInit, MegisStep
 from repro.megis.executors import ExecutorSpec, parse_spec
 from repro.megis.ftl import MegisFtl
 from repro.megis.host import BucketSet, KmerBucketPartitioner
-from repro.megis.isp import IspStepTwo
-from repro.megis.multissd import MultiSsdStepTwo
+from repro.megis.multissd import (
+    LocalStepTwo,
+    StepTwoOutput,
+    StepTwoPlacement,
+    warm_shards,
+    whole_range,
+)
 from repro.megis.sorting import sort_cost_weights
 from repro.sequences.reads import Read
 from repro.ssd.device import SSD
@@ -89,10 +110,10 @@ class MegisConfig:
     #: "numpy" columnar kernels); ``None`` uses the process default.
     backend: Optional[str] = None
     #: Shard the sorted database across this many SSDs for Step 2 (§6.1);
-    #: 1 keeps the single-SSD bucketed path.  Results are bit-identical
-    #: either way — shards are disjoint lexicographic ranges.
+    #: 1 is the single-SSD case.  Results are bit-identical either way —
+    #: shards are disjoint lexicographic ranges.
     n_ssds: int = 1
-    #: Execution policy for Step-2 bucket/shard tasks
+    #: Execution policy for Step-2 shard tasks
     #: (:mod:`repro.megis.executors`): ``None``/"serial" runs inline,
     #: "threads" / "threads:N" dispatches on a thread pool, and
     #: "processes" / "processes:N" forks an analysis worker pool at
@@ -253,12 +274,14 @@ class CacheStats:
 class AnalysisSession:
     """Open a :class:`~repro.megis.index.MegisIndex` once, serve many samples.
 
-    All engine state — Step-2 backends, shard handles (with their KSS range
-    slices), the Step-1 partitioner, the SSD command processor, and the
-    Step-3 index caches — is constructed in ``__init__`` and reused by
-    every :meth:`analyze` / :meth:`analyze_batch` call.  ``backend``,
-    ``n_ssds``, and ``executor`` are conveniences overriding the
-    corresponding :class:`MegisConfig` fields.
+    All engine state — the Step-2 placement and its shard handles (with
+    their KSS range slices), the Step-1 partitioner, the SSD command
+    processor, and the Step-3 index caches — is constructed once and
+    reused by every :meth:`analyze` / :meth:`analyze_batch` call.
+    ``backend``, ``n_ssds``, and ``executor`` are conveniences overriding
+    the corresponding :class:`MegisConfig` fields.  ``step_two`` replaces
+    the default local placement (the cluster router passes its
+    :class:`~repro.megis.cluster.router.ClusterStepTwo` here).
 
     Concurrency: the query path treats every engine structure as
     read-only, so multiple threads may call :meth:`analyze` /
@@ -288,6 +311,7 @@ class AnalysisSession:
         executor: ExecutorSpec = None,
         ssd: Optional[SSD] = None,
         shard_range: Optional[Tuple[int, int]] = None,
+        step_two: Optional[StepTwoPlacement] = None,
     ):
         config = config or MegisConfig()
         overrides = {}
@@ -346,6 +370,11 @@ class AnalysisSession:
                 "processing) and cannot be process-backed; drop "
                 "executor='processes' or the ssd"
             )
+        if self._process_workers is not None and step_two is not None:
+            raise ValueError(
+                "a process-backed session runs Step 2 on its own pinned "
+                "workers; it cannot take a step_two placement"
+            )
         #: Cluster-node mode: serve partial Step 2 over a contiguous
         #: subset ``[start, stop)`` of the index's ``n_ssds`` shards only
         #: (:meth:`step_two_partial`).  Such a session cannot run a full
@@ -369,16 +398,16 @@ class AnalysisSession:
         self.sketch = index.sketch
         self.references = index.references
         self.ssd = ssd
+        self.backend = get_backend(self._backend_spec)
         self._n_channels = ssd.config.geometry.channels if ssd else 8
         #: Guards lazy engine construction, the Step-3 caches, and the
         #: cache counters; everything else on the query path is read-only.
         self._lock = threading.RLock()
-        #: The Step-2 engines are built on first MegIS analysis and then
-        #: reused for the session's lifetime; a Metalign-only session
-        #: (which streams no KSS) never pays for them — or for the KSS
-        #: tables themselves, which stay un-built on a lazy index.
-        self._isp: Optional[IspStepTwo] = None
-        self._multissd: Optional[MultiSsdStepTwo] = None
+        #: The Step-2 placement; the default local one is built on first
+        #: MegIS analysis and reused for the session's lifetime, so a
+        #: Metalign-only session (which streams no KSS) never pays for it
+        #: — or for the KSS tables, which stay un-built on a lazy index.
+        self._step_two = step_two
         self._partitioner = KmerBucketPartitioner(
             k=self.database.k,
             n_buckets=config.n_buckets,
@@ -414,98 +443,51 @@ class AnalysisSession:
         return self.index.kss
 
     @property
-    def isp(self) -> IspStepTwo:
-        """The single-SSD Step-2 engine (built once, on first use)."""
-        if self._isp is None:
+    def step_two(self) -> StepTwoPlacement:
+        """The Step-2 placement: the one given, else local shards (§6.1)
+        over :meth:`cluster_shards` on the session's executor."""
+        if self._step_two is None:
             with self._lock:
-                if self._isp is None:
-                    self._isp = IspStepTwo(
-                        self.database, self.kss, n_channels=self._n_channels,
-                        backend=self._backend_spec,
+                if self._step_two is None:
+                    self._step_two = LocalStepTwo(
+                        self.cluster_shards(), backend=self.backend,
+                        channels=self._n_channels,
                         executor=self._executor_spec,
                     )
-        return self._isp
-
-    @property
-    def multissd(self) -> Optional[MultiSsdStepTwo]:
-        """With n_ssds > 1, the sharded Step-2 fan-out (§6.1) over the
-        index's pre-built shard handles — bit-identical results."""
-        if self.config.n_ssds <= 1:
-            return None
-        if self._multissd is None:
-            with self._lock:
-                if self._multissd is None:
-                    self._multissd = MultiSsdStepTwo(
-                        kss=self.kss, channels_per_ssd=self._n_channels,
-                        backend=self._backend_spec,
-                        executor=self._executor_spec,
-                        shards=self.index.shards(self.config.n_ssds),
-                    )
-        return self._multissd
+        return self._step_two
 
     @property
     def backend_name(self) -> str:
-        return self.isp.backend_name
+        return self.backend.name
 
     def warm(self) -> "AnalysisSession":
         """Pre-build every lazily-constructed engine structure.
 
         After ``warm()`` the :meth:`analyze` / :meth:`analyze_batch` path
-        is pure reads over shared state: the Step-2 engines exist, the
-        database/KSS columns (or row tables, for the reference backend)
-        and the sketch's size columns are materialized, and per-shard KSS
-        slices are cut.  :class:`~repro.megis.service.AnalysisService`
-        calls this before starting its worker threads so no two workers
-        ever race to build the same cache.  (The ternary-tree sketch
-        tables stay lazy — they back :meth:`analyze_metalign`, which the
-        service does not serve, and materializing them would defeat the
-        lazy-sketch open.)
+        is pure reads over shared state: the local Step-2 placement exists
+        and its shards' database/KSS columns (or row tables, for the
+        reference backend) are materialized, as are the sketch's size
+        columns.  :class:`~repro.megis.service.AnalysisService` calls this
+        before starting its worker threads so no two workers ever race to
+        build the same cache.  A cluster-node session warms its own shard
+        subset only; a session whose Step 2 runs elsewhere (forked
+        workers, remote nodes) builds no local shards.  (The ternary-tree
+        sketch tables stay lazy — they back :meth:`analyze_metalign`,
+        which the service does not serve, and materializing them would
+        defeat the lazy-sketch open.)
         """
         import numpy as np
 
-        from repro.backends import get_backend
-
-        if self.shard_range is not None:
-            # Cluster-node warm: materialize this node's shard subset only
-            # — each shard's database/KSS owner columns — plus the parent
-            # key column the zero-copy shard views slice.  No candidate
-            # scoring or Step-3 state is built: a shard-range session
-            # serves :meth:`step_two_partial` and nothing else.
-            columnar = get_backend(self._backend_spec).columnar
-            if columnar:
-                self.database.column()
-            for shard in self.cluster_shards():
-                if columnar:
-                    shard.database.column()
-                    shard.kss.columns()
-                else:
-                    shard.kss.retrieve([])
-            return self
-
-        engine = self.multissd if self.multissd is not None else self.isp
-
-        # Candidate scoring consults the sorted sketch-size columns on
-        # every sample; build them once, before any thread shares them.
-        self.sketch.size_column(np.empty(0, dtype=np.int64))
-        columnar = get_backend(self._backend_spec).columnar
-        if columnar:
-            self.database.column()
-            self.kss.columns()
-        else:
-            # The reference backend walks row objects and the per-level
-            # covered-owner caches; an empty retrieval touches them all.
-            self.kss.retrieve([])
-        if isinstance(engine, MultiSsdStepTwo):
-            for shard in engine.shards:
-                if columnar:
-                    shard.database.column()
-                    shard.kss.columns()
-                else:
-                    shard.kss.retrieve([])
+        if self.shard_range is None:
+            # Candidate scoring consults the sorted sketch-size columns on
+            # every sample; build them once, before any thread shares them.
+            self.sketch.size_column(np.empty(0, dtype=np.int64))
+        if self._process_workers is None and isinstance(self.step_two, LocalStepTwo):
+            warm_shards(self.step_two.shards, self.backend)
         # Process-backed serving forks *here* — after every column /
-        # memmap section above is materialized, so the workers inherit
-        # the warmed engine state copy-on-write (the fork-after-mmap
-        # contract; its COW sharing is asserted by the pool tests).
+        # memmap section is materialized, so the workers inherit the
+        # warmed engine state copy-on-write (the fork-after-mmap contract;
+        # its COW sharing is asserted by the pool tests).
         if self._process_workers is not None and self._runner is None:
             with self._lock:
                 if self._runner is None:
@@ -542,51 +524,11 @@ class AnalysisSession:
             self.warm()
         return self._runner
 
-    # -- single sample ----------------------------------------------------------
+    # -- the pipeline (§4.7 multi-sample; one sample is a batch of one) ---------
 
     def analyze(self, reads: Sequence[Read], with_abundance: bool = True) -> MegisResult:
         """Run the three steps for one sample against the open index."""
-        self._require_full("analyze")
-        runner = self._process_runner()
-        if runner is not None:
-            return runner.analyze(reads, with_abundance)
-        result = MegisResult(timings=PhaseTimings(backend=self.isp.backend_name))
-        if self._processor is not None:
-            self._processor.megis_init(MegisInit(0, host_buffer_bytes=1 << 30))
-
-        # Step 1 (host): extract, bucket, sort, exclude.
-        self._step_marker(HostStep.KMER_EXTRACTION)
-        with result.timings.phase("extract"):
-            buckets = self._partition(reads, result)
-        self._step_marker(HostStep.KMER_EXTRACTION)
-
-        # Step 2 (ISP): bucketed intersection + KSS retrieval.  With a real
-        # SSD attached, reserve the §4.3.1 buffers in internal DRAM for the
-        # duration of the step.
-        self._step_marker(HostStep.SORTING)
-        self._step_marker(HostStep.SORTING)
-        with self._isp_buffers():
-            if self.multissd is not None:
-                intersecting, retrieved = self.multissd.run(
-                    buckets.merged_column(), timings=result.timings
-                )
-            else:
-                intersecting, retrieved = self.isp.run_bucket_set(
-                    buckets, timings=result.timings
-                )
-        self._finish_step_two(result, intersecting, retrieved)
-        self._model_overlap(result.timings, buckets)
-
-        # Step 3: abundance estimation (mapping or lightweight statistics).
-        if with_abundance:
-            with result.timings.phase("abundance"):
-                self._estimate_abundance(result, reads, retrieved)
-
-        if self._processor is not None:
-            self._processor.finish()
-        return result
-
-    # -- multi-sample (§4.7) --------------------------------------------------------
+        return self.analyze_batch([reads], with_abundance)[0]
 
     def analyze_batch(
         self, samples: Sequence[Sequence[Read]], with_abundance: bool = True
@@ -594,72 +536,117 @@ class AnalysisSession:
         """Analyze several samples against the open index, batching Step 2.
 
         Functionally equivalent to analyzing each sample independently —
-        identical candidates and profiles — but the sorted database is
-        streamed from flash *once* for all buffered samples: every database
-        interval is intersected against each sample's matching query bucket
-        before the stream advances (§4.7).  The per-result timings record
-        the shared stream (``db_kmers_streamed`` counts each database k-mer
-        once per batch, ``samples_batched`` the batch width).  Step 3
-        reuses the session's unified-index caches, so samples whose
-        candidate sets overlap share the per-species index construction
-        and identical candidate sets share the merge outright.
+        identical candidates and profiles — but each database shard is
+        streamed from flash *once* for all buffered samples: every
+        database interval is intersected against each sample's matching
+        query bucket before the stream advances (§4.7).  The per-result
+        timings record the shared stream (``db_kmers_streamed`` counts each
+        database k-mer once per batch, ``samples_batched`` the batch
+        width).  Step 3 reuses the session's unified-index caches, so
+        samples whose candidate sets overlap share the per-species index
+        construction and identical candidate sets share the merge outright.
+
+        Steps 1 and 3 are per-sample stages (:meth:`_step_one`,
+        :meth:`_step_three`) that run inline, or on the forked pool of a
+        process-backed session; Step 2 runs on the session's placement.
         """
         self._require_full("analyze_batch")
         if not samples:
             return []
         runner = self._process_runner()
-        if runner is not None:
-            return runner.analyze_batch(samples, with_abundance)
-        backend = self.isp.backend_name
-        results = [MegisResult(timings=PhaseTimings(backend=backend)) for _ in samples]
+        results = [
+            MegisResult(timings=PhaseTimings(backend=self.backend.name))
+            for _ in samples
+        ]
         if self._processor is not None:
             self._processor.megis_init(MegisInit(0, host_buffer_bytes=1 << 30))
 
         # Step 1 per sample: all samples' buckets are buffered before the
         # shared database stream starts.
         self._step_marker(HostStep.KMER_EXTRACTION)
+        step_one = self._run_stage(runner, "_step_one", [(reads,) for reads in samples])
         bucket_sets: List[BucketSet] = []
-        for reads, result in zip(samples, results):
-            with result.timings.phase("extract"):
-                bucket_sets.append(self._partition(reads, result))
+        for result, (buckets, extract_ms) in zip(results, step_one):
+            result.timings.extract_ms += extract_ms
+            self._record_step_one(result, buckets)
+            bucket_sets.append(buckets)
         self._step_marker(HostStep.KMER_EXTRACTION)
 
-        # Step 2, batched: one database stream for the whole batch.
+        # Step 2, batched: one database stream per shard for the whole
+        # batch.  With a real SSD attached, reserve the §4.3.1 buffers in
+        # internal DRAM for the duration of the step.
         self._step_marker(HostStep.SORTING)
         self._step_marker(HostStep.SORTING)
-        batch_timings = PhaseTimings(backend=backend, samples_batched=len(samples))
+        batch_timings = PhaseTimings(
+            backend=self.backend.name, samples_batched=len(samples)
+        )
         sample_buckets = [
             [(b.lo, b.hi, b.kmers) for b in buckets.buckets]
             for buckets in bucket_sets
         ]
+        placement = runner if runner is not None else self.step_two
         with self._isp_buffers():
-            if self.multissd is not None:
-                step_two = self.multissd.run_multi(
-                    sample_buckets, timings=batch_timings
-                )
-            else:
-                step_two = self.isp.run_bucketed_multi(
-                    sample_buckets, timings=batch_timings
-                )
+            step_two = placement.run(sample_buckets, batch_timings)
 
         # Step 3 per sample.  Each sample's overlap model charges it the
         # batch's intersect time in proportion to its share of the query
         # stream (the database stream is shared across the batch).
-        total_query = sum(buckets.total_kmers() for buckets in bucket_sets)
-        for result, reads, buckets, (intersecting, retrieved) in zip(
-            results, samples, bucket_sets, step_two
+        step_three = self._run_stage(runner, "_step_three", [
+            (reads, retrieved, with_abundance)
+            for reads, (_, retrieved) in zip(samples, step_two)
+        ])
+        total_query = sum(result.query_kmers for result in results)
+        for result, buckets, (intersecting, _), called in zip(
+            results, bucket_sets, step_two, step_three
         ):
+            result.intersecting_kmers = intersecting
+            result.sketch_hits = called.sketch_hits
+            result.candidates = called.candidates
+            result.profile = called.profile
+            result.merge_stats = called.merge_stats
+            result.timings.abundance_ms += called.timings.abundance_ms
             result.timings.merge(batch_timings)
-            self._finish_step_two(result, intersecting, retrieved)
-            share = buckets.total_kmers() / total_query if total_query else 0.0
+            share = result.query_kmers / total_query if total_query else 0.0
             self._model_overlap(result.timings, buckets, intersect_share=share)
-            if with_abundance:
-                with result.timings.phase("abundance"):
-                    self._estimate_abundance(result, reads, retrieved)
 
         if self._processor is not None:
             self._processor.finish()
         return results
+
+    def _run_stage(
+        self,
+        runner: Optional["ProcessAnalysisRunner"],
+        stage: str,
+        calls: Sequence[Tuple[Any, ...]],
+    ) -> List[Any]:
+        """Run a per-sample stage method once per call: inline, or on the
+        forked pool (where Steps 1 and 3 run outside the GIL)."""
+        if runner is not None:
+            return runner.map_stage(stage, calls)
+        method = getattr(self, stage)
+        return [method(*args) for args in calls]
+
+    def _step_one(self, reads: Sequence[Read]) -> Tuple[BucketSet, float]:
+        """Step 1 for one sample: extract, bucket, sort, exclude (+ wall ms)."""
+        start = time.perf_counter()
+        buckets = self._partitioner.partition(reads)
+        return buckets, (time.perf_counter() - start) * 1e3
+
+    def _step_three(
+        self, reads: Sequence[Read], retrieved, with_abundance: bool
+    ) -> MegisResult:
+        """Step 3 for one sample: hits, candidates, and (optionally) the
+        abundance profile, on a fresh result the pipeline copies from."""
+        called = MegisResult()
+        hits = accumulate_hits(retrieved)
+        called.sketch_hits = hits.as_dict()
+        called.candidates = select_candidates(
+            self.sketch, hits, self.config.min_containment
+        )
+        if with_abundance:
+            with called.timings.phase("abundance"):
+                self._estimate_abundance(called, reads, retrieved)
+        return called
 
     # -- partial Step 2 over a shard range (cluster-node mode) --------------------
 
@@ -689,16 +676,14 @@ class AnalysisSession:
         self,
         queries: Sequence[Sequence[int]],
         timings: Optional[PhaseTimings] = None,
-    ):
+    ) -> List[StepTwoOutput]:
         """Step 2 over this session's shard subset, one result per sample.
 
         ``queries`` are sorted query columns (one per sample — what
         :meth:`~repro.megis.host.BucketSet.merged_column` produces, or
-        plain int lists off the wire).  Each sample is intersected and
-        retrieved per shard with exactly the kernels
-        :class:`~repro.megis.multissd.MultiSsdStepTwo` runs — the
-        backend's range split clips the column to each shard's
-        ``[lo, hi)`` — and the per-shard partials are concatenated in
+        plain int lists off the wire).  Each becomes one full-range bucket
+        and the whole batch runs on the session's placement — every shard
+        streamed once per batch, the per-shard partials concatenated in
         ascending shard order.  Because a cluster node owns a
         *contiguous* shard group, concatenating the per-node results (in
         node order) reproduces the single-host sharded result
@@ -708,29 +693,10 @@ class AnalysisSession:
         intersecting k-mers are the retrieval result's ``queries``
         column restricted to this shard subset.
         """
-        from repro.backends import RetrievalResult, get_backend
-
-        backend = get_backend(self._backend_spec)
-        shards = self.cluster_shards()
-        results = []
-        for query in queries:
-            partials = []
-            retrievals = []
-            for shard in shards:
-                st = PhaseTimings(backend=backend.name)
-                [partial] = backend.intersect_sharded(
-                    [(shard.lo, shard.hi, shard.database)], query,
-                    self._n_channels, st,
-                )
-                retrievals.append(backend.retrieve(shard.kss, partial, st))
-                partials.append(partial)
-                if timings is not None:
-                    timings.merge(st)
-            intersecting = [int(k) for p in partials for k in p]
-            results.append(
-                (intersecting, RetrievalResult.concatenate(retrievals))
-            )
-        return results
+        k = self.database.k
+        return self.step_two.run(
+            [whole_range(query, k) for query in queries], timings
+        )
 
     # -- Metalign baseline over the same index ----------------------------------
 
@@ -856,16 +822,14 @@ class AnalysisSession:
 
     # -- helpers ------------------------------------------------------------------
 
-    def _partition(self, reads: Sequence[Read], result: MegisResult) -> BucketSet:
-        """Step 1 for one sample, recording its statistics on the result."""
-        buckets = self._partitioner.partition(reads)
+    def _record_step_one(self, result: MegisResult, buckets: BucketSet) -> None:
+        """Copy one sample's Step-1 statistics onto its result."""
         result.n_buckets = len(buckets)
         result.spilled_bytes = buckets.spilled_bytes
         result.query_kmers = buckets.total_kmers()
         result.transfer_batches = self._count_batches(
             buckets, self._partitioner.kmer_bytes
         )
-        return buckets
 
     @contextmanager
     def _isp_buffers(self):
@@ -956,23 +920,6 @@ class AnalysisSession:
             return [by_range[(b.lo, b.hi)] for b in bucket_set.buckets]
         except KeyError:
             return None
-
-    def _finish_step_two(self, result: MegisResult, intersecting, retrieved) -> None:
-        """Fold retrieval columns into hit counts and call candidates.
-
-        ``retrieved`` carries the CSR owner columns
-        (:class:`~repro.backends.retrieval.RetrievalResult`); accumulation
-        is one ``np.unique`` pass per level over the flat taxID column and
-        containment is the vectorized batch score — no per-taxID Python
-        loops on the numpy backend, identical results on the reference
-        backend (the cross-backend tests enforce bit-equality).
-        """
-        result.intersecting_kmers = intersecting
-        hits = accumulate_hits(retrieved)
-        result.sketch_hits = hits.as_dict()
-        result.candidates = select_candidates(
-            self.sketch, hits, self.config.min_containment
-        )
 
     def _estimate_abundance(self, result: MegisResult, reads, retrieved) -> None:
         if not result.candidates:

@@ -58,6 +58,11 @@ if TYPE_CHECKING:
 #: Wire-format version stamped on every output line.
 SCHEMA = 1
 
+#: Default cap on one frame's length in bytes, for every reader of the
+#: format: front doors and nodes reject longer request lines, and the
+#: router fails a node reply that grows past it.
+MAX_LINE_BYTES = 32 * 1024 * 1024
+
 #: One decoded JSONL frame.  Values are heterogeneous JSON scalars and
 #: containers, so ``object`` is the honest element type.
 Record = Dict[str, object]

@@ -20,7 +20,6 @@ import pytest
 from repro.databases.sketch import SketchDatabase
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.cluster import (
-    ClusterAnalysisSession,
     ClusterMap,
     ClusterNode,
     ClusterRouter,
@@ -169,9 +168,10 @@ class Cluster:
                                           replica=replica_address))
         self.step_two = ClusterStepTwo(self.map, endpoints,
                                        timeout_s=self.timeout_s)
-        local = AnalysisSession(self.index, _config(self.golden))
+        local = AnalysisSession(self.index, _config(self.golden),
+                                step_two=self.step_two)
         self.router = ClusterRouter(
-            ClusterAnalysisSession(local, self.step_two),
+            local,
             heartbeat_ms=self.heartbeat_ms,
             workers=self.workers,
         )
@@ -328,8 +328,7 @@ class TestShardRangeSession:
     ):
         """The data-path core, no sockets: per-node partials gathered in
         node order equal the full single-session Step 2."""
-        from repro.backends import PhaseTimings, RetrievalResult
-        from repro.megis.session import MegisResult
+        from repro.megis.multissd import gather
 
         _, index = golden_world
         cluster_map = ClusterMap.for_index(index, 2, N_SHARDS)
@@ -340,15 +339,14 @@ class TestShardRangeSession:
             make_node_session(index, golden, cluster_map, w).warm()
             for w in range(2)
         ]
-        scratch = MegisResult(timings=PhaseTimings(backend="python"))
-        buckets = full._partition(chunks[0], scratch)
+        buckets, _ = full._step_one(chunks[0])
         query = buckets.merged_column()
-        partials = [s.step_two_partial([query])[0] for s in sessions]
-        gathered = RetrievalResult.concatenate([p[1] for p in partials])
-        intersecting = [k for p in partials for k in p[0]]
+        [(intersecting, gathered)] = gather(
+            [s.step_two_partial([query]) for s in sessions]
+        )
+        assert intersecting == reference.intersecting_kmers
 
-        clustered = MegisResult(timings=PhaseTimings(backend="python"))
-        full._finish_step_two(clustered, intersecting, gathered)
+        clustered = full._step_three(chunks[0], gathered, False)
         assert sorted(clustered.candidates) == sorted(reference.candidates)
 
 
@@ -480,6 +478,59 @@ class TestFailover:
         assert stats.node_failures >= 1
         # Accounted, not dropped: the request failed loudly.
         assert gateway_stats.requests_failed == 1
+
+    def test_oversized_reply_without_newline_fails_after_one_retry(self):
+        """A node streaming past the frame limit with no newline must not
+        grow the router's buffer without bound: each attempt stops at
+        the cap, and the second ends the request as ``node_failed``."""
+        import socket
+        import threading
+
+        from repro.megis import wire
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10.0)
+        connections = []
+
+        def flood():
+            """Answer the attempt and its one retry, then stop."""
+            chunk = b"x" * 65536
+            for _ in range(2):
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return
+                connections.append(conn)
+                with conn:
+                    conn.recv(65536)
+                    sent = 0
+                    try:
+                        while sent <= wire.MAX_LINE_BYTES + len(chunk):
+                            conn.sendall(chunk)
+                            sent += len(chunk)
+                    except OSError:
+                        pass
+
+        server = threading.Thread(target=flood, daemon=True)
+        server.start()
+        try:
+            step_two = ClusterStepTwo(
+                ClusterMap(n_nodes=1, n_shards=1),
+                [NodeEndpoint(0, listener.getsockname())], timeout_s=10.0,
+            )
+            with pytest.raises(NodeFailed) as failed:
+                step_two.scatter([[1, 2, 3]])
+        finally:
+            listener.close()
+            server.join(timeout=10)
+        assert str(failed.value).startswith(
+            "node_failed: node=0 after 2 attempts"
+        )
+        assert "frame limit" in str(failed.value)
+        assert step_two.stats.node_retries == 1
+        assert step_two.stats.node_failures == 1
+        assert not server.is_alive()
+        assert len(connections) == 2
 
     def test_node_failed_str_is_the_wire_message(self):
         error = NodeFailed(3, attempts=2, reason="connection refused")

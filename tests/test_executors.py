@@ -17,8 +17,12 @@ from repro.megis.executors import (
     parse_spec,
 )
 from repro.megis.host import Bucket, BucketSet, KmerBucketPartitioner
-from repro.megis.isp import IspStepTwo
+from repro.megis.multissd import LocalStepTwo, build_shards
 from repro.megis.session import AnalysisSession, MegisConfig
+
+
+def bucket_slices(bucket_set):
+    return [(b.lo, b.hi, b.kmers) for b in bucket_set.buckets]
 
 
 class TestSpecs:
@@ -117,21 +121,24 @@ class TestExecutorDrivenStepTwo:
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_concurrent_buckets_bit_identical(self, sorted_db, kss_tables,
                                               sample, backend):
-        """Per-bucket executor tasks == the serial bucketed run, exactly."""
+        """A sample's buckets streamed by concurrent shard tasks == the
+        serial single-SSD bucketed run, exactly."""
         partitioner = KmerBucketPartitioner(k=sorted_db.k, n_buckets=8,
                                             backend=backend)
-        bucket_set = partitioner.partition(sample.reads)
-        serial = IspStepTwo(sorted_db, kss_tables, backend=backend)
-        threaded = IspStepTwo(sorted_db, kss_tables, backend=backend,
-                              executor="threads:4")
-        expected = serial.run_bucket_set(bucket_set)
-        got = threaded.run_bucket_set(bucket_set)
+        buckets = bucket_slices(partitioner.partition(sample.reads))
+        serial = LocalStepTwo(build_shards(sorted_db, kss_tables, 1),
+                              backend=backend)
+        threaded = LocalStepTwo(build_shards(sorted_db, kss_tables, 4),
+                                backend=backend, executor="threads:4")
+        [expected] = serial.run([buckets])
+        timings = PhaseTimings()
+        [got] = threaded.run([buckets], timings)
         assert got[0] == expected[0]
         assert got[1] == expected[1]
         assert threaded.executor_name == "threads:4"
-        # One logical pass over the database either way.
-        assert threaded.timings.db_stream_passes == 1
-        assert threaded.timings.step2_wall_ms > 0
+        # Each database k-mer is streamed at most once across the shards.
+        assert 0 < timings.db_kmers_streamed <= len(sorted_db)
+        assert timings.step2_wall_ms > 0
 
     def test_session_executor_config_is_bit_identical(self, sorted_db,
                                                       sketch_db, references,
@@ -160,12 +167,17 @@ class TestMeasuredBucketTimings:
         space = 1 << (2 * sorted_db.k)
         buckets = [(0, mid, [q for q in query if q < mid]),
                    (mid, space, [q for q in query if q >= mid])]
-        timings = PhaseTimings()
-        get_backend(backend).intersect_bucketed(sorted_db, buckets, 4, timings)
-        assert [(lo, hi) for lo, hi, _ in timings.measured_buckets] == [
-            (0, mid), (mid, space)
-        ]
-        assert all(ms >= 0 for _, _, ms in timings.measured_buckets)
+        engine = get_backend(backend)
+        single, batched = PhaseTimings(), PhaseTimings()
+        engine.intersect_bucketed(sorted_db, buckets, 4, single)
+        # The batched kernel logs one slice per streamed interval; for one
+        # sample those are exactly its buckets.
+        engine.intersect_bucketed_multi(sorted_db, [buckets], 4, batched)
+        for timings in (single, batched):
+            assert [(lo, hi) for lo, hi, _ in timings.measured_buckets] == [
+                (0, mid), (mid, space)
+            ]
+            assert all(ms >= 0 for _, _, ms in timings.measured_buckets)
 
     def test_scheduler_replays_measured_durations(self):
         """Measured slices matching the sample's buckets replace the model."""
@@ -268,11 +280,12 @@ class TestPacedBackend:
         bucket_set = partitioner.partition(sample.reads)
         paced = PacedStepTwoBackend("numpy", mb_per_s=1e9)
         assert paced.columnar is True
-        reference = IspStepTwo(sorted_db, kss_tables, backend="numpy")
-        timed = IspStepTwo(sorted_db, kss_tables, backend=paced)
+        shards = build_shards(sorted_db, kss_tables, 1)
+        reference = LocalStepTwo(shards, backend="numpy")
+        timed = LocalStepTwo(shards, backend=paced)
         assert timed.backend_name == "paced"
-        expected = reference.run_bucket_set(bucket_set)
-        got = timed.run_bucket_set(bucket_set)
+        [expected] = reference.run([bucket_slices(bucket_set)])
+        [got] = timed.run([bucket_slices(bucket_set)])
         assert got[0] == expected[0]
         assert got[1] == expected[1]
 
@@ -291,8 +304,6 @@ class TestPacedBackend:
 
     def test_paced_sharded_batch_matches_numpy(self, sorted_db, kss_tables,
                                                sample):
-        from repro.megis.multissd import MultiSsdStepTwo
-
         partitioner = KmerBucketPartitioner(k=sorted_db.k, n_buckets=6,
                                             backend="numpy")
         samples = [
@@ -300,12 +311,11 @@ class TestPacedBackend:
              for b in partitioner.partition(reads).buckets]
             for reads in (sample.reads[:150], sample.reads[150:300])
         ]
-        reference = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=3,
-                                    backend="numpy").run_multi(samples)
-        paced = MultiSsdStepTwo(
-            sorted_db, kss_tables, n_ssds=3,
-            backend=PacedStepTwoBackend("numpy", mb_per_s=1e9),
-        ).run_multi(samples)
+        shards = build_shards(sorted_db, kss_tables, 3)
+        reference = LocalStepTwo(shards, backend="numpy").run(samples)
+        paced = LocalStepTwo(
+            shards, backend=PacedStepTwoBackend("numpy", mb_per_s=1e9),
+        ).run(samples)
         assert paced == reference
 
     def test_rejects_bad_bandwidth(self):

@@ -354,16 +354,17 @@ class TestFairness:
 
 class TestAdmission:
     def _gated_session(self, session, monkeypatch):
-        """Block analyze until ``gate`` is set (single worker held busy)."""
+        """Block analyze_batch until ``gate`` is set (single worker held
+        busy)."""
         started, gate = threading.Event(), threading.Event()
-        real_analyze = session.analyze
+        real_analyze_batch = session.analyze_batch
 
-        def gated_analyze(reads, with_abundance=True):
+        def gated_analyze_batch(samples, with_abundance=True):
             started.set()
             assert gate.wait(timeout=30)
-            return real_analyze(reads, with_abundance)
+            return real_analyze_batch(samples, with_abundance)
 
-        monkeypatch.setattr(session, "analyze", gated_analyze)
+        monkeypatch.setattr(session, "analyze_batch", gated_analyze_batch)
         return started, gate
 
     def test_admission_full_is_an_error_frame(self, session, requests_wire,
@@ -447,17 +448,17 @@ class TestDisconnect:
         started = [threading.Event(), threading.Event()]
         gates = [threading.Event(), threading.Event()]
         calls = []
-        real_analyze = session.analyze
+        real_analyze_batch = session.analyze_batch
 
-        def gated_analyze(reads, with_abundance=True):
+        def gated_analyze_batch(samples, with_abundance=True):
             i = len(calls)
             calls.append(i)
             if i < len(gates):
                 started[i].set()
                 assert gates[i].wait(timeout=30)
-            return real_analyze(reads, with_abundance)
+            return real_analyze_batch(samples, with_abundance)
 
-        monkeypatch.setattr(session, "analyze", gated_analyze)
+        monkeypatch.setattr(session, "analyze_batch", gated_analyze_batch)
         gateway = AnalysisGateway(session, workers=1, max_batch=1)
 
         async def scenario():

@@ -27,7 +27,6 @@ from repro.databases.serialization import (
 )
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.index import IndexBuilder, MegisIndex
-from repro.megis.pipeline import MegisPipeline
 from repro.megis.session import AnalysisSession, MegisConfig
 from repro.tools.mapping import SpeciesIndex
 
@@ -134,8 +133,8 @@ class TestServedEquivalence:
                                            sample, backend, method, n_ssds):
         config = MegisConfig(backend=backend, abundance_method=method,
                              n_ssds=n_ssds)
-        fresh = MegisPipeline(
-            sorted_db, sketch_db, sample.references, config=config
+        fresh = AnalysisSession(
+            MegisIndex(sorted_db, sketch_db, sample.references), config
         ).analyze(sample.reads)
         served = AnalysisSession(opened, config).analyze(sample.reads)
         assert served.intersecting_kmers == fresh.intersecting_kmers

@@ -14,7 +14,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.databases.kss import KssTables
 from repro.databases.sketch import SketchDatabase, TernarySearchTree
 from repro.databases.sorted_db import SortedKmerDatabase
-from repro.megis.isp import IspStepTwo, TaxIdRetriever
+from repro.backends.python_backend import TaxIdRetriever
+from repro.megis.index import MegisIndex
+from repro.megis.multissd import LocalStepTwo, build_shards, whole_range
+from repro.megis.session import AnalysisSession
 from repro.sequences.generator import GenomeGenerator
 from repro.sequences.reads import ReadSimulator
 
@@ -57,8 +60,8 @@ def test_isp_matches_reference_on_random_worlds(params, n_channels):
     kss = KssTables(sketch)
     # Query: a slice of database k-mers plus guaranteed misses.
     query = sorted(set(database.kmers[::3] + [0, (1 << (2 * K)) - 1]))
-    isp = IspStepTwo(database, kss, n_channels=n_channels)
-    intersecting, retrieved = isp.run(query)
+    step_two = LocalStepTwo(build_shards(database, kss, 1), channels=n_channels)
+    [(intersecting, retrieved)] = step_two.run([whole_range(query, K)])
     assert intersecting == database.intersect(query)
     tree = TernarySearchTree(sketch)
     for kmer in intersecting:
@@ -82,16 +85,14 @@ def test_kss_equals_tree_on_random_worlds(params):
 @settings(max_examples=6, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_megis_equals_metalign_on_random_worlds(params, n_reads):
-    from repro.megis.pipeline import MegisPipeline
-    from repro.tools.metalign import MetalignPipeline
-
     references, database, sketch = build_world(params)
     taxids = references.species_taxids
     profile = {t: 1.0 for t in taxids[: max(1, len(taxids) // 2)]}
     reads = ReadSimulator(read_length=80, error_rate=0.01,
                           seed=params["seed"]).simulate(references, profile, n_reads)
-    ours = MegisPipeline(database, sketch, references).analyze(reads)
-    theirs = MetalignPipeline(database, sketch, references).analyze(reads)
+    index = MegisIndex(database, sketch, references)
+    ours = AnalysisSession(index).analyze(reads)
+    theirs = AnalysisSession(index).analyze_metalign(reads)
     assert ours.intersecting_kmers == theirs.intersecting_kmers
     assert ours.candidates == theirs.candidates
     assert ours.profile.fractions == theirs.profile.fractions

@@ -9,8 +9,20 @@ TaxIdRetriever's streaming KSS pass.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.megis.isp import IntersectUnit, IspStepTwo, TaxIdRetriever, stripe_database
+from repro.backends.python_backend import IntersectUnit, TaxIdRetriever, stripe_database
+from repro.megis.multissd import LocalStepTwo, build_shards, whole_range
 from tests.conftest import SKETCH_K
+
+
+def single_ssd(sorted_db, kss_tables, n_channels):
+    """The one-shard local placement: the single-SSD Step 2."""
+    return LocalStepTwo(build_shards(sorted_db, kss_tables, 1), channels=n_channels)
+
+
+def run_flat(step_two, query):
+    """Step 2 for one sorted query column spanning the key space."""
+    [output] = step_two.run([whole_range(query, SKETCH_K)])
+    return output
 
 
 class TestIntersectUnit:
@@ -57,23 +69,24 @@ class TestStriping:
 
 
 class TestIspStepTwo:
+    """In-storage Step 2 on one SSD: the one-shard local placement."""
+
     def test_run_matches_reference_intersect(self, sorted_db, kss_tables, sample):
         from repro.megis.host import KmerBucketPartitioner
 
         buckets = KmerBucketPartitioner(k=SKETCH_K, n_buckets=8).partition(sample.reads)
         query = buckets.merged_sorted()
-        isp = IspStepTwo(sorted_db, kss_tables, n_channels=8)
-        intersecting, _ = isp.run(query)
+        intersecting, _ = run_flat(single_ssd(sorted_db, kss_tables, 8), query)
         assert intersecting == sorted_db.intersect(query)
 
     def test_bucketed_equals_flat(self, sorted_db, kss_tables, sample):
         from repro.megis.host import KmerBucketPartitioner
 
         buckets = KmerBucketPartitioner(k=SKETCH_K, n_buckets=8).partition(sample.reads)
-        isp = IspStepTwo(sorted_db, kss_tables, n_channels=4)
-        flat, flat_taxids = isp.run(buckets.merged_sorted())
-        bucketed, bucketed_taxids = isp.run_bucketed(
-            (b.lo, b.hi, b.kmers) for b in buckets.buckets
+        step_two = single_ssd(sorted_db, kss_tables, 4)
+        flat, flat_taxids = run_flat(step_two, buckets.merged_sorted())
+        [(bucketed, bucketed_taxids)] = step_two.run(
+            [[(b.lo, b.hi, b.kmers) for b in buckets.buckets]]
         )
         assert bucketed == flat
         assert bucketed_taxids == flat_taxids
@@ -81,7 +94,7 @@ class TestIspStepTwo:
     def test_channel_count_does_not_change_result(self, sorted_db, kss_tables):
         query = sorted_db.kmers[::5]
         results = [
-            IspStepTwo(sorted_db, kss_tables, n_channels=n).run(query)[0]
+            run_flat(single_ssd(sorted_db, kss_tables, n), query)[0]
             for n in (1, 3, 8)
         ]
         assert results[0] == results[1] == results[2]

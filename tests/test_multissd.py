@@ -1,11 +1,11 @@
 """Tests for functional multi-SSD database partitioning (Fig 15's premise).
 
-The range split now lives in the Step-2 backends
-(``intersect_sharded``/``intersect_sharded_multi``); these tests pin the
-§6.1 claim — sharded Step 2 is bit-identical to single-SSD Step 2 — across
-both backends, batched multi-sample mode, and the boundary edge cases
-(empty shards, duplicated boundary k-mers, databases smaller than the
-shard count).
+The range split lives in the Step-2 backends (``intersect_sharded_multi``)
+and the local placement maps the per-shard kernel over the shards; these
+tests pin the §6.1 claim — sharded Step 2 is bit-identical to single-SSD
+Step 2 — across both backends, batched multi-sample mode, and the boundary
+edge cases (empty shards, duplicated boundary k-mers, databases smaller
+than the shard count).
 """
 
 import numpy as np
@@ -15,10 +15,27 @@ from hypothesis import given, settings, strategies as st
 from repro.backends import PhaseTimings, get_backend
 from repro.databases.sorted_db import SortedKmerDatabase
 from repro.megis.host import KmerBucketPartitioner
-from repro.megis.isp import IspStepTwo
-from repro.megis.multissd import MultiSsdStepTwo, split_database
+from repro.megis.multissd import (
+    LocalStepTwo,
+    build_shards,
+    split_database,
+    whole_range,
+)
 
 BACKENDS = ("python", "numpy")
+
+
+def sharded(database, kss, n_ssds, backend=None, **kwargs):
+    """The local placement over ``n_ssds`` shards of ``database``."""
+    return LocalStepTwo(build_shards(database, kss, n_ssds), backend=backend,
+                        **kwargs)
+
+
+def run_flat(step_two, query, timings=None):
+    """Step 2 for one sorted query column spanning the key space."""
+    k = step_two.shards[0].database.k
+    [output] = step_two.run([whole_range(query, k)], timings)
+    return output
 
 
 class TestSplitDatabase:
@@ -80,6 +97,8 @@ class TestSplitDatabase:
 
 
 class TestMultiSsdStepTwo:
+    """Multi-SSD Step 2: the local placement over several shards."""
+
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n_ssds", [1, 2, 4, 8])
     def test_sharded_equals_single(self, sorted_db, kss_tables, sample,
@@ -87,27 +106,24 @@ class TestMultiSsdStepTwo:
         query = KmerBucketPartitioner(k=20, n_buckets=4).partition(
             sample.reads
         ).merged_sorted()
-        single = IspStepTwo(sorted_db, kss_tables, n_channels=8,
-                            backend=backend).run(query)
-        multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=n_ssds,
-                                backend=backend).run(query)
-        assert multi[0] == single[0]
-        assert multi[1] == single[1]
+        intersecting = sorted_db.intersect(query)
+        multi = run_flat(sharded(sorted_db, kss_tables, n_ssds, backend), query)
+        assert multi[0] == intersecting
+        assert multi[1] == kss_tables.retrieve(intersecting)
 
     def test_cross_backend_identical(self, sorted_db, kss_tables):
         query = sorted_db.kmers[::5]
         results = {
-            backend: MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=3,
-                                     backend=backend).run(query)
+            backend: run_flat(sharded(sorted_db, kss_tables, 3, backend), query)
             for backend in BACKENDS
         }
         assert results["python"] == results["numpy"]
 
     def test_ndarray_query_accepted(self, sorted_db, kss_tables):
         query = sorted_db.kmers[::7]
-        engine = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=3, backend="numpy")
-        from_list = engine.run(query)
-        from_column = engine.run(np.asarray(query, dtype=np.uint64))
+        engine = sharded(sorted_db, kss_tables, 3, "numpy")
+        from_list = run_flat(engine, query)
+        from_column = run_flat(engine, np.asarray(query, dtype=np.uint64))
         assert from_list == from_column
 
     def test_duplicate_boundary_kmers(self, sorted_db, kss_tables):
@@ -118,9 +134,8 @@ class TestMultiSsdStepTwo:
         query = sorted(sorted_db.kmers[::6] + [boundary, boundary])
         expected = sorted_db.intersect(sorted(set(query)))
         for backend in BACKENDS:
-            multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=3,
-                                    backend=backend)
-            assert multi.run(query)[0] == expected
+            multi = sharded(sorted_db, kss_tables, 3, backend)
+            assert run_flat(multi, query)[0] == expected
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_more_ssds_than_kmers(self, kss_tables, sorted_db, backend):
@@ -130,42 +145,42 @@ class TestMultiSsdStepTwo:
         )
         query = sorted_db.kmers[:50:2]
         expected = small.intersect(query)
-        multi = MultiSsdStepTwo(small, kss_tables, n_ssds=8, backend=backend)
-        assert multi.run(query)[0] == expected
+        multi = sharded(small, kss_tables, 8, backend)
+        assert run_flat(multi, query)[0] == expected
 
     def test_empty_query(self, sorted_db, kss_tables):
-        multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=2)
-        intersecting, retrieved = multi.run([])
+        multi = sharded(sorted_db, kss_tables, 2)
+        intersecting, retrieved = run_flat(multi, [])
         assert intersecting == []
         assert retrieved == {}
 
     def test_n_ssds_property(self, sorted_db, kss_tables):
-        assert MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=4).n_ssds == 4
+        assert sharded(sorted_db, kss_tables, 4).n_ssds == 4
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_timings_threaded(self, sorted_db, kss_tables, backend):
         query = sorted_db.kmers[::4]
-        multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=3, backend=backend)
+        multi = sharded(sorted_db, kss_tables, 3, backend, executor="threads:3")
+        assert multi.backend_name == backend
         timings = PhaseTimings(backend=backend)
-        intersecting, _ = multi.run(query, timings=timings)
-        assert multi.timings.backend == backend
+        intersecting, _ = run_flat(multi, query, timings)
         assert timings.db_kmers_streamed > 0
         assert timings.query_kmers_streamed > 0
         assert timings.intersect_ms > 0
         assert timings.retrieve_ms > 0
+        assert timings.step2_wall_ms > 0
         assert sum(timings.channel_matches.values()) == len(intersecting)
-        # The engine accumulates across calls like IspStepTwo does.
-        assert multi.timings.db_kmers_streamed == timings.db_kmers_streamed
-        multi.run(query)
-        assert multi.timings.db_kmers_streamed == 2 * timings.db_kmers_streamed
+        # The caller's timings accumulate across calls; the engine keeps none.
+        streamed = timings.db_kmers_streamed
+        run_flat(multi, query, timings)
+        assert timings.db_kmers_streamed == 2 * streamed
 
     @given(st.integers(min_value=1, max_value=6))
     @settings(max_examples=6, deadline=None)
     def test_result_invariant_in_shard_count(self, sorted_db, kss_tables, n):
         query = sorted_db.kmers[::9]
         expected = sorted_db.intersect(query)
-        multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=n)
-        assert multi.run(query)[0] == expected
+        assert run_flat(sharded(sorted_db, kss_tables, n), query)[0] == expected
 
 
 class TestMultiSsdBatchedMultiSample:
@@ -181,10 +196,12 @@ class TestMultiSsdBatchedMultiSample:
     def test_batched_equals_single_ssd_batch(self, sorted_db, kss_tables,
                                              sample, backend, n_ssds):
         samples = self._samples(sample, backend)
-        single = IspStepTwo(sorted_db, kss_tables,
-                            backend=backend).run_bucketed_multi(samples)
-        multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=n_ssds,
-                                backend=backend).run_multi(samples)
+        engine = get_backend(backend)
+        single = [
+            (partial, engine.retrieve(kss_tables, partial))
+            for partial in engine.intersect_bucketed_multi(sorted_db, samples)
+        ]
+        multi = sharded(sorted_db, kss_tables, n_ssds, backend).run(samples)
         assert multi == single
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -192,24 +209,21 @@ class TestMultiSsdBatchedMultiSample:
                                            sample, backend):
         samples = self._samples(sample, backend)
         timings = PhaseTimings()
-        multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=3, backend=backend)
-        multi.run_multi(samples, timings=timings)
+        sharded(sorted_db, kss_tables, 3, backend).run(samples, timings)
         assert timings.samples_batched == 2
         # Each database k-mer streams at most once per batch regardless of
         # the batch width (shards are disjoint).
         assert timings.db_kmers_streamed <= len(sorted_db)
 
     def test_empty_batch(self, sorted_db, kss_tables):
-        multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=2)
-        assert multi.run_multi([]) == []
+        assert sharded(sorted_db, kss_tables, 2).run([]) == []
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_empty_sample_in_batch(self, sorted_db, kss_tables, sample, backend):
         samples = self._samples(sample, backend)
         space = 1 << 40
         samples.append([(0, space, [])])
-        multi = MultiSsdStepTwo(sorted_db, kss_tables, n_ssds=3, backend=backend)
-        results = multi.run_multi(samples)
+        results = sharded(sorted_db, kss_tables, 3, backend).run(samples)
         assert results[-1][0] == []
         assert results[-1][1] == {}
 
@@ -244,11 +258,11 @@ class TestUint64BoundaryOverflow:
         database = SortedKmerDatabase(k, kmers, [frozenset({1})] * len(kmers))
         assert database.column().dtype == np.uint64
         query = kmers[:]
-        multi = MultiSsdStepTwo(database, kss_tables, n_ssds=3, backend=backend)
-        intersecting, _ = multi.run(query)
+        multi = sharded(database, kss_tables, 3, backend)
+        intersecting, _ = run_flat(multi, query)
         assert intersecting == kmers
-        batched = multi.run_multi([[(0, 1 << (2 * k), query)]])
-        assert batched[0][0] == kmers
+        batched = multi.run([[(0, 1 << (2 * k), query)], [(0, 1 << (2 * k), query)]])
+        assert [b[0] for b in batched] == [kmers, kmers]
 
 
 class TestShardValidation:
@@ -257,6 +271,8 @@ class TestShardValidation:
         shards = split_database(sorted_db, 3)
         triples = [(s.lo, s.hi, s.database) for s in reversed(shards)]
         with pytest.raises(ValueError):
-            get_backend(backend).intersect_sharded(triples, sorted_db.kmers[:10])
+            get_backend(backend).intersect_sharded_multi(
+                triples, [whole_range(sorted_db.kmers[:10], 20)]
+            )
         with pytest.raises(ValueError):
             get_backend(backend).intersect_sharded_multi(triples, [[]])

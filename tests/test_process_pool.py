@@ -323,24 +323,25 @@ def _alive(pid: int) -> bool:
 # -- service-level crash semantics -------------------------------------------
 
 def _install_poison(monkeypatch):
-    """Replace the Step-1 task with one that kills the worker on a
-    poison sample.  Patched *before* the session forks, so workers (and
-    every respawn, which re-forks the patched parent) inherit it; the
-    pickle-by-reference lookup resolves to the patched function on both
-    sides of the pipe."""
+    """Replace the stage task with one that kills the worker when Step 1
+    meets a poison sample.  Patched *before* the session forks, so
+    workers (and every respawn, which re-forks the patched parent)
+    inherit it; the pickle-by-reference lookup resolves to the patched
+    function on both sides of the pipe."""
     from repro.megis import procpool
 
-    real = procpool._task_step1
+    real = procpool._task_stage
 
-    def poisoned_step1(reads):
-        if reads and reads[0].sequence == "POISON":
+    def poisoned_stage(stage, args):
+        reads = args[0]
+        if stage == "_step_one" and reads and reads[0].sequence == "POISON":
             os._exit(51)
-        return real(reads)
+        return real(stage, args)
 
-    poisoned_step1.__module__ = procpool._task_step1.__module__
-    poisoned_step1.__qualname__ = procpool._task_step1.__qualname__
-    poisoned_step1.__name__ = procpool._task_step1.__name__
-    monkeypatch.setattr(procpool, "_task_step1", poisoned_step1)
+    poisoned_stage.__module__ = procpool._task_stage.__module__
+    poisoned_stage.__qualname__ = procpool._task_stage.__qualname__
+    poisoned_stage.__name__ = procpool._task_stage.__name__
+    monkeypatch.setattr(procpool, "_task_stage", poisoned_stage)
 
 
 class TestServiceCrashSemantics:

@@ -289,22 +289,22 @@ class TestBoundedAdmission:
     """Backpressure and rejection semantics of the bounded queue."""
 
     def _gated_session(self, golden_world, golden):
-        """A session whose analyze blocks until ``gate`` is set, plus the
-        ``started`` event it sets on first entry (so tests can hold the
-        single worker busy deterministically)."""
+        """A session whose analyze_batch blocks until ``gate`` is set, plus
+        the ``started`` event it sets on first entry (so tests can hold
+        the single worker busy deterministically)."""
         _, index = golden_world
         session = AnalysisSession(
             index, _golden_config(golden, abundance_method="statistical")
         )
         started, gate = threading.Event(), threading.Event()
-        real_analyze = session.analyze
+        real_analyze_batch = session.analyze_batch
 
-        def gated_analyze(reads, with_abundance=True):
+        def gated_analyze_batch(samples, with_abundance=True):
             started.set()
             assert gate.wait(timeout=30)
-            return real_analyze(reads, with_abundance)
+            return real_analyze_batch(samples, with_abundance)
 
-        session.analyze = gated_analyze
+        session.analyze_batch = gated_analyze_batch
         return session, started, gate
 
     def test_full_queue_rejects_and_counts(self, golden_world, golden):

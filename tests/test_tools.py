@@ -8,7 +8,7 @@ from repro.taxonomy.tree import ROOT_TAXID, Rank
 from repro.tools.bracken import BrackenEstimator
 from repro.tools.kraken2 import Kraken2Classifier
 from repro.tools.mapping import ReadMapper, SpeciesIndex, UnifiedIndex
-from repro.tools.metalign import MetalignPipeline, containment_score
+from repro.tools.metalign import containment_score
 
 
 @pytest.fixture(scope="module")
@@ -169,22 +169,33 @@ class TestMapping:
             ReadMapper(index, min_seed_hits=0)
 
 
+def metalign_session(sorted_db, sketch_db, sample):
+    """A session over the shared world, serving the Metalign baseline."""
+    from repro.megis.index import MegisIndex
+    from repro.megis.session import AnalysisSession
+
+    return AnalysisSession(MegisIndex(sorted_db, sketch_db, sample.references))
+
+
 class TestMetalign:
     def test_pipeline_finds_truth(self, sorted_db, sketch_db, sample):
-        pipeline = MetalignPipeline(sorted_db, sketch_db, sample.references)
-        result = pipeline.analyze(sample.reads)
+        session = metalign_session(sorted_db, sketch_db, sample)
+        result = session.analyze_metalign(sample.reads)
         truth = sample.present_species()
         assert f1_score(result.present(), truth) > 0.8
 
     def test_intersection_subset_of_db(self, sorted_db, sketch_db, sample):
-        pipeline = MetalignPipeline(sorted_db, sketch_db, sample.references)
-        query = pipeline.prepare_queries(sample.reads)
-        result = pipeline.find_candidates(query.tolist())
+        from repro.sequences.kmers import KmerCounter
+
+        session = metalign_session(sorted_db, sketch_db, sample)
+        counter = KmerCounter(sorted_db.k, canonical=False)
+        counter.add_sequences(read.sequence for read in sample.reads)
+        result = session.find_candidates_metalign(counter.selected().tolist())
         assert set(result.intersecting_kmers) <= set(sorted_db.kmers)
 
     def test_candidates_superset_of_final_present(self, sorted_db, sketch_db, sample):
-        pipeline = MetalignPipeline(sorted_db, sketch_db, sample.references)
-        result = pipeline.analyze(sample.reads)
+        session = metalign_session(sorted_db, sketch_db, sample)
+        result = session.analyze_metalign(sample.reads)
         assert result.present() <= result.candidates
 
     def test_mismatched_k_raises(self, sorted_db, sample):
@@ -192,7 +203,7 @@ class TestMetalign:
 
         other = SketchDatabase.build(sample.references, k_max=16, smaller_ks=(8,))
         with pytest.raises(ValueError):
-            MetalignPipeline(sorted_db, other, sample.references)
+            metalign_session(sorted_db, other, sample)
 
     def test_containment_score_weights_levels(self, sketch_db):
         taxid = next(iter(sketch_db.sketch_sizes))
@@ -201,6 +212,6 @@ class TestMetalign:
         assert mixed > kmax_only
 
     def test_empty_candidates_empty_profile(self, sorted_db, sketch_db, sample):
-        pipeline = MetalignPipeline(sorted_db, sketch_db, sample.references)
-        profile = pipeline.estimate_abundance(sample.reads, set())
+        session = metalign_session(sorted_db, sketch_db, sample)
+        profile = session.map_abundance(sample.reads, set())
         assert len(profile) == 0
